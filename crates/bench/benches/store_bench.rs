@@ -144,6 +144,39 @@ fn bench_reads(c: &mut Criterion) {
     group.finish();
 }
 
+/// Copy-on-write under MVCC: one put into a 600k-key table while a
+/// freshly captured snapshot still shares every page. Keys have the
+/// user table's shape (`u16` role, `u32` id), which spreads them over
+/// the 8 shards. The put copies one shard's page directory and one page;
+/// dropping the snapshot afterwards (timed too, as the server pays it)
+/// frees the copies it no longer shares.
+fn bench_snapshot_writes(c: &mut Criterion) {
+    const N: u32 = 600_000;
+    let key = |i: u32| [&2u16.to_be_bytes()[..], &i.to_be_bytes()[..]].concat();
+    let store = Store::in_memory();
+    for start in (0..N).step_by(20_000) {
+        let mut batch = WriteBatch::with_capacity(20_000);
+        for i in start..start + 20_000 {
+            batch.put(T, key(i), vec![0u8; 32]);
+        }
+        store.commit(batch).unwrap();
+    }
+    let mut group = c.benchmark_group("store/mvcc");
+    group.bench_function("put_under_live_snapshot_600k", |b| {
+        let mut i = 0u32;
+        b.iter_batched(
+            || store.read_snapshot(),
+            |snap| {
+                store.put(T, key(i % N), vec![1u8; 32]).unwrap();
+                i = i.wrapping_add(7919);
+                snap
+            },
+            BatchSize::PerIteration,
+        );
+    });
+    group.finish();
+}
+
 fn bench_recovery(c: &mut Criterion) {
     let mut group = c.benchmark_group("store/recovery");
     group.sample_size(10);
@@ -178,6 +211,7 @@ criterion_group!(
     bench_commit,
     bench_reads,
     bench_typed_reads,
+    bench_snapshot_writes,
     bench_recovery
 );
 criterion_main!(benches);

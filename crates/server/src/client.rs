@@ -175,6 +175,9 @@ impl Client {
         timeout: Duration,
     ) -> Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        // No Nagle: a request frame larger than the write buffer must not
+        // wait for the server's delayed ACK of its length prefix.
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
         let read_half = stream.try_clone()?;

@@ -48,7 +48,7 @@
 //! paths for the torture suite.
 
 use std::io::{BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -259,7 +259,6 @@ pub fn serve(
     let snapshot_reads = resolve_snapshot_reads(&cfg)?;
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
 
     // Seed the snapshot cache before any worker exists: the first
     // dashboard request finds a capture waiting instead of racing the
@@ -365,6 +364,11 @@ impl ServerHandle {
         // must be able to read a real deadline.
         self.shared.stop_at_ms.store(elapsed, Ordering::Release);
         self.shared.stop.store(true, Ordering::SeqCst);
+        // The acceptor blocks in `accept`: one loopback connect wakes it,
+        // and it re-checks `stop` before serving what it accepted. If the
+        // connect fails the listener already has a connection pending or
+        // is gone, and either way `accept` returns on its own.
+        let _ = TcpStream::connect_timeout(&wake_addr(self.addr), Duration::from_secs(1));
         self.shared.queue.close();
         let mut worker_panics = 0;
         if self.acceptor.join().is_err() {
@@ -388,9 +392,30 @@ impl ServerHandle {
     }
 }
 
+/// Where [`ServerHandle::shutdown`] connects to wake the acceptor: the
+/// bound address, with an unspecified IP (`0.0.0.0`, `::`) mapped to
+/// loopback of the same family.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let mut addr = bound;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    addr
+}
+
+/// Blocking accept loop. `stop` is re-checked after every `accept`
+/// returns, so the wake-up connection from `shutdown` (or any connection
+/// racing it) is dropped instead of served.
 fn accept_loop(listener: TcpListener, shared: &Shared) {
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shared.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 // `server.accept` fault site: an injected failure here
                 // models accept()/fd-limit errors — the connection is
@@ -404,9 +429,8 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
                     shed(shared, stream);
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // A failed accept (fd limit, aborted handshake) backs off
+            // briefly so a persistent error cannot spin the acceptor.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
@@ -420,6 +444,7 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
 /// visible instead of silently dropping the write error.
 fn shed(shared: &Shared, stream: TcpStream) {
     shared.shed.fetch_add(1, Ordering::Relaxed);
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
     let mut w = BufWriter::new(stream);
     let sent =
@@ -449,8 +474,12 @@ enum Ctl {
 }
 
 fn serve_session(shared: &Shared, stream: TcpStream) {
+    // No Nagle: a frame larger than the `BufWriter` buffer leaves as a
+    // 1–3 byte length prefix and then the payload, and with Nagle on the
+    // payload would wait for the client's delayed ACK of the prefix.
     if stream
         .set_read_timeout(Some(shared.cfg.read_timeout))
+        .and_then(|()| stream.set_nodelay(true))
         .is_err()
     {
         return;

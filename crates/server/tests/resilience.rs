@@ -1,6 +1,7 @@
 //! Serving-layer resilience without fault injection: graceful drain
-//! under a streaming client, idle-session reaping, shed-failure
-//! accounting, and client retry against a genuinely busy server.
+//! under a streaming client, idle-session reaping, prompt shutdown of an
+//! idle server, shed-failure accounting, client retry against a genuinely
+//! busy server, and large frames that never wait on a delayed ACK.
 //!
 //! Nothing in this binary arms the fault layer, so these tests run
 //! concurrently like any other integration tests.
@@ -11,9 +12,10 @@ use std::time::{Duration, Instant};
 
 use itag_core::config::EngineConfig;
 use itag_core::engine::ITagEngine;
+use itag_core::project::ProjectSpec;
 use itag_server::client::{Client, RetryPolicy};
 use itag_server::frame::write_frame;
-use itag_server::proto::{Request, PROTOCOL_VERSION};
+use itag_server::proto::{DatasetSpec, Request, PROTOCOL_VERSION};
 use itag_server::server::{serve, ServerConfig};
 
 fn engine(seed: u64) -> ITagEngine {
@@ -101,6 +103,74 @@ fn idle_sessions_end_on_shutdown_without_drain_cut() {
     let report = handle.shutdown();
     assert_eq!(report.stats.drain_cut, 0);
     assert_eq!(report.stats.worker_panics, 0);
+}
+
+/// The acceptor blocks in `accept`, and `shutdown` wakes it with one
+/// loopback connect to the bound port. A server that never saw a session
+/// must therefore shut down promptly, for a loopback bind and for an
+/// unspecified one (`0.0.0.0`, which `shutdown` maps to loopback), and
+/// the wake-up connection must not be served as a session.
+#[test]
+fn shutting_down_an_idle_server_returns_within_a_second() {
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let handle = serve(engine(6), bind, ServerConfig::default()).expect("serve");
+        let (tx, rx) = std::sync::mpsc::channel();
+        let started = Instant::now();
+        let waiter = std::thread::spawn(move || {
+            let _ = tx.send(handle.shutdown().stats);
+        });
+        let stats = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("shutdown of an idle server hung");
+        let took = started.elapsed();
+        waiter.join().expect("shutdown thread panicked");
+        assert!(
+            took < Duration::from_secs(1),
+            "{bind}: shutdown took {took:?}"
+        );
+        assert_eq!(stats.served, 0, "{bind}: the wake-up connection was served");
+        assert_eq!(stats.worker_panics, 0);
+    }
+}
+
+/// Frames larger than the 8 KiB `BufWriter` buffer leave as a 1–3 byte
+/// length prefix and then the payload. With Nagle on, the payload waits
+/// for the peer's delayed ACK of the prefix, ≈40 ms on Linux, on every
+/// such frame. Both ends set `TCP_NODELAY`: the client for large requests
+/// (a 32 KiB provider name) and the server for large responses (a
+/// project listing carrying a 32 KiB project name). Either end without
+/// it puts the median round trip of this loop at 40 ms or more.
+#[test]
+fn large_frames_do_not_wait_for_delayed_acks() {
+    let handle = serve(engine(7), ("127.0.0.1", 0), ServerConfig::default()).expect("serve");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let big = "x".repeat(32 << 10);
+    let provider = client.register_provider(&big).expect("register");
+    client
+        .create_project(
+            provider,
+            ProjectSpec::demo(&big, 10),
+            DatasetSpec::small(3),
+            false,
+        )
+        .expect("project");
+
+    let mut rounds = Vec::new();
+    for _ in 0..15 {
+        let t = Instant::now();
+        let listed = client.browse_projects().expect("browse");
+        assert_eq!(listed.len(), 1);
+        client.register_provider(&big).expect("register");
+        rounds.push(t.elapsed());
+    }
+    rounds.sort();
+    let median = rounds[rounds.len() / 2];
+    assert!(
+        median < Duration::from_millis(30),
+        "large frames stalled: median round trip {median:?} ({rounds:?})"
+    );
+    client.quit().expect("quit");
+    handle.shutdown();
 }
 
 /// Idle reaping: with `idle_timeout` set, a session that goes quiet is

@@ -4,7 +4,10 @@
 //!
 //! Every test in this binary arms the process-global fault plan (the
 //! `ArmedFaults` guard serializes them); no fault-free test may live
-//! here. See `crates/store/tests/fault_torture.rs` for the rule.
+//! here. See `crates/store/tests/fault_torture.rs` for the rule. Each
+//! test holds its guard from first line to last ([`hold`]) and swaps
+//! plans under it, so a parallel test's plan never fires inside its
+//! healthy phases (set-up, reconnects, shutdown).
 
 #![cfg(feature = "faults")]
 
@@ -18,8 +21,13 @@ use itag_server::server::{serve, ServerConfig};
 use itag_store::faults::{self, FaultKind, FaultPlan, FaultSpec, Trigger};
 use itag_store::testutil::TestDir;
 
-fn arm_one(site: &'static str, kind: FaultKind, trigger: Trigger) -> faults::ArmedFaults {
-    faults::arm(&FaultPlan::new().site(site, FaultSpec::new(kind, trigger)))
+/// Takes the process-global plan for the whole test, with nothing armed.
+fn hold() -> faults::ArmedFaults {
+    faults::arm(&FaultPlan::new())
+}
+
+fn one(site: &'static str, kind: FaultKind, trigger: Trigger) -> FaultPlan {
+    FaultPlan::new().site(site, FaultSpec::new(kind, trigger))
 }
 
 fn quick_cfg() -> ServerConfig {
@@ -33,9 +41,10 @@ fn quick_cfg() -> ServerConfig {
 /// typed client's retry policy rides straight through it.
 #[test]
 fn accept_fault_drops_connection_and_retry_rides_through() {
+    let mut guard = hold();
     let engine = ITagEngine::new(EngineConfig::in_memory(1)).expect("engine");
     let handle = serve(engine, ("127.0.0.1", 0), quick_cfg()).expect("serve");
-    let guard = arm_one(faults::SERVER_ACCEPT, FaultKind::Eio, Trigger::Once);
+    guard.rearm(&one(faults::SERVER_ACCEPT, FaultKind::Eio, Trigger::Once));
 
     let policy = RetryPolicy {
         max_attempts: 10,
@@ -52,7 +61,7 @@ fn accept_fault_drops_connection_and_retry_rides_through() {
         1,
         "accept fault never fired"
     );
-    drop(guard);
+    guard.rearm(&FaultPlan::new());
 
     let report = handle.shutdown();
     assert_eq!(report.stats.accept_faults, 1);
@@ -64,15 +73,16 @@ fn accept_fault_drops_connection_and_retry_rides_through() {
 /// and the failure is counted.
 #[test]
 fn session_write_fault_cuts_session_and_is_counted() {
+    let mut guard = hold();
     let engine = ITagEngine::new(EngineConfig::in_memory(2)).expect("engine");
     let handle = serve(engine, ("127.0.0.1", 0), quick_cfg()).expect("serve");
 
     // Nth(2): the HelloOk write passes, the first Pong write dies.
-    let guard = arm_one(
+    guard.rearm(&one(
         faults::SERVER_SESSION_WRITE,
         FaultKind::Eio,
         Trigger::Nth(2),
-    );
+    ));
     let mut client = Client::connect(handle.addr()).expect("handshake passes");
     let err = client.ping().expect_err("pong write should be cut");
     assert!(
@@ -80,7 +90,7 @@ fn session_write_fault_cuts_session_and_is_counted() {
         "cut session should look transient, got {err}"
     );
     assert_eq!(guard.fired(faults::SERVER_SESSION_WRITE), 1);
-    drop(guard);
+    guard.rearm(&FaultPlan::new());
 
     // The server itself is healthy: fresh sessions serve normally.
     let mut again = Client::connect(handle.addr()).expect("reconnect");
@@ -97,6 +107,7 @@ fn session_write_fault_cuts_session_and_is_counted() {
 /// on the handle.
 #[test]
 fn storage_fault_degrades_server_to_read_only() {
+    let mut guard = hold();
     let dir = TestDir::new("server-degraded");
     let engine =
         ITagEngine::new(EngineConfig::durable(3, dir.path().to_path_buf())).expect("engine");
@@ -110,7 +121,7 @@ fn storage_fault_degrades_server_to_read_only() {
 
     // Break the WAL under the engine. After(0) fires on every poll, so
     // the store stays broken for as long as the guard lives.
-    let guard = arm_one(faults::WAL_APPEND, FaultKind::Eio, Trigger::After(0));
+    guard.rearm(&one(faults::WAL_APPEND, FaultKind::Eio, Trigger::After(0)));
     let err = client
         .register_provider("bob")
         .expect_err("write over a broken WAL must fail");
@@ -143,7 +154,7 @@ fn storage_fault_degrades_server_to_read_only() {
     client.ping().expect("read while degraded");
     let _ = provider; // the registered id remains visible via reads
     client.checksum().expect("checksum while degraded");
-    drop(guard);
+    guard.rearm(&FaultPlan::new());
 
     // Still latched after the fault clears — degradation is an operator
     // decision to undo, not something the server un-decides silently.

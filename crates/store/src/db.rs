@@ -85,6 +85,7 @@
 //! prove bit-identical behaviour.
 
 use crate::codec::FxHasher;
+use crate::cow::{self, CowMap};
 use crate::error::{Result, StoreError};
 use crate::txn::{CachedEntity, Op, WalEntry, WriteBatch};
 use crate::{serbin, snapshot, wal, TableId};
@@ -92,10 +93,8 @@ use bytes::Bytes;
 use parking_lot::{Condvar, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::hash::Hasher;
-use std::ops::Bound;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// How hard the store tries to make each commit durable. See the module
 /// docs for the full durability contract.
@@ -179,6 +178,7 @@ struct Counters {
     cache_misses: AtomicU64,
     wal_syncs: AtomicU64,
     snapshot_captures: AtomicU64,
+    cow_pairs_copied: AtomicU64,
 }
 
 /// A point-in-time view of store activity and size.
@@ -203,6 +203,11 @@ pub struct StoreStats {
     pub wal_unsynced_commits: u64,
     /// MVCC read snapshots captured ([`Store::read_snapshot`]).
     pub snapshot_captures: u64,
+    /// Handles copied by memtable copy-on-write: a write to a table that
+    /// a live snapshot still shares copies that table's page directory
+    /// (one handle per page) and the one page it touches (one handle per
+    /// pair). Stays 0 while no snapshot is alive (see the `cow` module).
+    pub cow_pairs_copied: u64,
     /// LSN of the last batch applied to the memtables (0 on a fresh
     /// store; recovery resumes it from the replayed WAL).
     pub epoch: u64,
@@ -216,12 +221,13 @@ pub struct StoreStats {
     pub recovered_torn_tail: bool,
 }
 
-/// One logical table's ordered pairs. Behind an [`Arc`] so an MVCC
-/// snapshot ([`Store::read_snapshot`]) can share every table it captured
-/// without copying a single pair: writers clone-on-write via
-/// [`Arc::make_mut`], which is a no-op (refcount 1) whenever no snapshot
-/// holds the table and copies only the touched table otherwise.
-pub(crate) type TableMap = Arc<BTreeMap<Bytes, Bytes>>;
+/// One logical table's ordered pairs in one shard: a page-shared
+/// [`CowMap`], so an MVCC snapshot ([`Store::read_snapshot`]) shares every
+/// table it captured for one refcount bump. A write copies nothing while
+/// no snapshot holds the table; under a live snapshot it copies the
+/// table's page directory (≈ `len / PAGE` handles) and the one page it
+/// touches (≤ [`cow::PAGE`] pairs), never the rest of the table.
+pub(crate) type TableMap = CowMap;
 
 /// One table set partition: `table → (key → value)`. Keys are [`Bytes`] so
 /// scans can return them without copying.
@@ -429,7 +435,7 @@ pub(crate) fn tables_union_of<'g>(parts: impl Iterator<Item = &'g Memtable>) -> 
 /// order — a k-way merge over the per-shard ordered maps, so nothing is
 /// materialized (each shard holds disjoint keys, so ties cannot occur).
 pub(crate) struct MergedTableIter<'g> {
-    iters: Vec<std::collections::btree_map::Range<'g, Bytes, Bytes>>,
+    iters: Vec<cow::Range<'g>>,
     heads: Vec<Option<(&'g Bytes, &'g Bytes)>>,
 }
 
@@ -465,13 +471,9 @@ pub(crate) fn merged_parts<'g>(
     from: &[u8],
     to: Option<&[u8]>,
 ) -> MergedTableIter<'g> {
-    let upper = match to {
-        Some(end) => Bound::Excluded(end),
-        None => Bound::Unbounded,
-    };
-    let mut iters: Vec<std::collections::btree_map::Range<'g, Bytes, Bytes>> = parts
+    let mut iters: Vec<cow::Range<'g>> = parts
         .filter_map(|p| p.get(&table))
-        .map(|t| t.range::<[u8], _>((Bound::Included(from), upper)))
+        .map(|t| t.range(from, to))
         .collect();
     let heads = iters.iter_mut().map(|it| it.next()).collect();
     MergedTableIter { iters, heads }
@@ -538,7 +540,7 @@ impl Store {
         if let Some(snap) = snapshot::read(&snapshot_path(dir))? {
             last_lsn = snap.last_lsn;
             for dump in snap.tables {
-                let table = Arc::make_mut(tables.entry(dump.table).or_default());
+                let table = tables.entry(dump.table).or_default();
                 for (k, v) in dump.entries {
                     table.insert(Bytes::from(k), Bytes::from(v));
                 }
@@ -588,15 +590,15 @@ impl Store {
         let mut parts: Vec<Memtable> = (0..n).map(|_| Memtable::new()).collect();
         let mut presence: crate::codec::FxHashMap<TableId, u128> = Default::default();
         for (table, entries) in initial {
-            // `initial` is freshly built by recovery, so each table Arc is
-            // unshared and unwraps without cloning.
-            let entries = Arc::try_unwrap(entries).unwrap_or_else(|shared| (*shared).clone());
-            for (k, v) in entries {
-                let s = route(n, table, &k);
+            for (k, v) in entries.iter() {
+                let s = route(n, table, k);
                 if n <= 128 {
                     *presence.entry(table).or_insert(0) |= 1u128 << s;
                 }
-                Arc::make_mut(parts[s].entry(table).or_default()).insert(k, v);
+                parts[s]
+                    .entry(table)
+                    .or_default()
+                    .insert(k.clone(), v.clone());
             }
         }
         let cache_enabled = opts.entity_cache && !env_disables_cache();
@@ -1038,6 +1040,7 @@ impl Store {
             Vec::new()
         };
         let mut hints = hints.into_iter().peekable();
+        let mut copied = 0;
         for (idx, (op, &s)) in ops.into_iter().zip(routes.iter()).enumerate() {
             let hint = match hints.peek() {
                 Some((h, _)) if *h as usize == idx => hints.next().map(|(_, d)| d),
@@ -1055,14 +1058,12 @@ impl Store {
                     // populated; an error path here has no caller to
                     // surface to (the batch is already in the WAL).
                     // lint: allow(store-unwrap)
-                    Arc::make_mut(
-                        guards[s]
-                            .as_mut()
-                            .expect("touched shard is locked")
-                            .entry(table)
-                            .or_default(),
-                    )
-                    .insert(key, value);
+                    copied += guards[s]
+                        .as_mut()
+                        .expect("touched shard is locked")
+                        .entry(table)
+                        .or_default()
+                        .insert(key, value);
                 }
                 Op::Delete { table, key } => {
                     if self.cache_enabled && cache_tables.contains(&table) {
@@ -1075,10 +1076,15 @@ impl Store {
                         .expect("touched shard is locked")
                         .get_mut(&table)
                     {
-                        Arc::make_mut(t).remove(key.as_slice());
+                        copied += t.remove(key.as_slice());
                     }
                 }
             }
+        }
+        if copied > 0 {
+            self.counters
+                .cow_pairs_copied
+                .fetch_add(copied as u64, Ordering::Relaxed);
         }
         // Publish the new epoch while the touched shards are still
         // write-locked: a capture holding every shard read lock can then
@@ -1286,7 +1292,7 @@ impl Store {
         guards
             .iter()
             .filter_map(|g| g.get(&table))
-            .filter_map(|t| t.keys().next_back())
+            .filter_map(|t| t.last_key())
             .max()
             .cloned()
     }
@@ -1427,6 +1433,7 @@ impl Store {
             wal_syncs: self.counters.wal_syncs.load(Ordering::Relaxed),
             wal_unsynced_commits,
             snapshot_captures: self.counters.snapshot_captures.load(Ordering::Relaxed),
+            cow_pairs_copied: self.counters.cow_pairs_copied.load(Ordering::Relaxed),
             epoch: self.epoch(),
             tables,
             keys,
@@ -1448,10 +1455,11 @@ impl Store {
     /// Captures a point-in-time read snapshot of every table.
     ///
     /// Cost: all shard read locks are held just long enough to clone each
-    /// shard's *table directory* — `O(shards × tables)` [`Arc`] clones,
-    /// never the pairs themselves (copy-on-write: a later commit that
-    /// touches a captured table clones only that table). The capture
-    /// linearizes against the group leader's applies, so the returned
+    /// shard's *table directory* — `O(shards × tables)` refcount bumps,
+    /// never the pairs themselves. Copy-on-write is page-grained: a later
+    /// commit that touches a captured table copies that table's page
+    /// directory and the one page it writes (see the `cow` module). The
+    /// capture linearizes against the group leader's applies, so the returned
     /// view contains exactly the batches `1..=epoch` and nothing else,
     /// byte-identical to a quiesced store at that LSN. Once this method
     /// returns, the snapshot never blocks writers — it holds no lock,
@@ -1484,12 +1492,14 @@ fn apply_ops(tables: &mut Memtable, ops: Vec<Op>) {
     for op in ops {
         match op {
             Op::Put { table, key, value } => {
-                Arc::make_mut(tables.entry(table).or_default())
+                tables
+                    .entry(table)
+                    .or_default()
                     .insert(Bytes::from(key), Bytes::from(value));
             }
             Op::Delete { table, key } => {
                 if let Some(t) = tables.get_mut(&table) {
-                    Arc::make_mut(t).remove(key.as_slice());
+                    t.remove(key.as_slice());
                 }
             }
         }

@@ -342,7 +342,7 @@ mod live {
         }
     }
 
-    fn install(entries: &[(String, FaultSpec)]) {
+    pub(super) fn install(entries: &[(String, FaultSpec)]) {
         let mut reg = REGISTRY.lock();
         let mut sites = HashMap::new();
         for (site, spec) in entries {
@@ -504,6 +504,15 @@ impl ArmedFaults {
     /// Times the armed plan actually fired at `site` so far.
     pub fn fired(&self, site: &str) -> u64 {
         fired(site)
+    }
+
+    /// Replaces the armed plan without letting go of the guard; fire
+    /// counts start over. A test that has fault-free phases (set-up,
+    /// twin replays) arms an empty plan first and swaps plans under the
+    /// held guard, so no other test's plan can fire inside those phases.
+    #[cfg(feature = "faults")]
+    pub fn rearm(&mut self, plan: &FaultPlan) {
+        live::install(&plan.entries);
     }
 }
 

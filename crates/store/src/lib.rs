@@ -33,6 +33,7 @@
 //! ```
 
 pub mod codec;
+mod cow;
 pub mod db;
 pub mod envknob;
 pub mod error;

@@ -1,9 +1,9 @@
 //! MVCC read snapshots: immutable point-in-time views of the store.
 //!
 //! [`crate::Store::read_snapshot`] briefly read-locks every shard, clones
-//! each shard's table directory (per-table [`Arc`]s — never the pairs),
-//! reads the epoch, and drops the locks. The resulting [`StoreSnapshot`]
-//! is a frozen copy-on-write view:
+//! each shard's table directory (one refcount bump per table — never the
+//! pairs), reads the epoch, and drops the locks. The resulting
+//! [`StoreSnapshot`] is a frozen copy-on-write view:
 //!
 //! * **Consistency** — the epoch is published by the group leader while
 //!   it still holds the write locks of the shards its batch touched, and
@@ -11,10 +11,14 @@
 //!   contents)` pair is exactly "every batch with `lsn <= epoch`, none
 //!   after" — byte-identical to a quiesced store at that LSN (pinned by
 //!   the snapshot-equivalence proptest).
-//! * **Writer freedom** — after capture the snapshot holds no lock.
-//!   Writers that touch a captured table pay one clone of that table
-//!   ([`Arc::make_mut`]) and proceed; writers elsewhere pay nothing. The
-//!   `crowd::model` snapshot-capture model checks the protocol under
+//! * **Writer freedom** — after capture the snapshot holds no lock. The
+//!   first write to a captured table copies that table's page directory
+//!   (≈ `len / 128` handles) and the one page its key lands on (≤ 128
+//!   pairs); later writes copy only pages not yet copied, and every other
+//!   page stays shared (`StoreStats::cow_pairs_copied` counts the
+//!   copies). Dropping a snapshot frees only what writers replaced since
+//!   the capture.
+//!   The `crowd::model` snapshot-capture model checks the protocol under
 //!   exhaustive schedules.
 //! * **Cheap sharing** — [`StoreSnapshot`] is itself an [`Arc`] handle:
 //!   cloning one (e.g. the server fanning a dashboard epoch out to N
@@ -146,7 +150,7 @@ impl StoreSnapshot {
     pub fn last_key(&self, table: TableId) -> Option<Bytes> {
         self.parts()
             .filter_map(|p| p.get(&table))
-            .filter_map(|t| t.keys().next_back())
+            .filter_map(|t| t.last_key())
             .max()
             .cloned()
     }
@@ -325,6 +329,40 @@ mod tests {
         assert_eq!(snap.count(T1), 0);
         assert!(snap.get(T1, b"x").is_none());
         assert!(snap.table_ids().is_empty());
+    }
+
+    /// The copy-on-write bound on a realistic table: with a snapshot
+    /// alive, one put into a 600k-key table copies one shard's page
+    /// directory and one page — at most `n / PAGE + PAGE` handles — and
+    /// with no snapshot alive, writes copy nothing.
+    #[test]
+    fn a_put_under_a_live_snapshot_copies_one_page_not_the_table() {
+        use crate::cow::PAGE;
+        const N: u32 = 600_000;
+        let s = Store::in_memory();
+        for start in (0..N).step_by(20_000) {
+            let mut b = crate::WriteBatch::with_capacity(20_000);
+            for i in start..start + 20_000 {
+                b.put(T1, i.to_be_bytes().to_vec(), vec![1]);
+            }
+            s.commit(b).unwrap();
+        }
+        assert_eq!(s.stats().cow_pairs_copied, 0, "unshared writes copy");
+
+        let snap = s.read_snapshot();
+        s.put(T1, 4_242u32.to_be_bytes().to_vec(), vec![2]).unwrap();
+        let copied = s.stats().cow_pairs_copied;
+        let bound = (N as usize).div_ceil(PAGE) as u64 + PAGE as u64;
+        assert!(copied > 0 && copied <= bound, "copied {copied} > {bound}");
+        assert_eq!(
+            snap.get(T1, &4_242u32.to_be_bytes()).unwrap().as_ref(),
+            &[1]
+        );
+        assert_eq!(snap.count(T1), N as usize);
+
+        drop(snap);
+        s.put(T1, 4_243u32.to_be_bytes().to_vec(), vec![2]).unwrap();
+        assert_eq!(s.stats().cow_pairs_copied, copied, "no snapshot, no copy");
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! Every test in this binary arms the process-global fault plan, so the
 //! whole binary is a dedicated isolation domain: the [`ArmedFaults`]
 //! guard serializes the tests against each other, and no fault-free
-//! store test lives here.
+//! store test lives here. Each test holds its guard from first line to
+//! last ([`hold`]) and swaps plans under it, so a parallel test's plan
+//! can never fire inside its set-up, reopen or twin replays.
 
 #![cfg(feature = "faults")]
 
@@ -65,16 +67,22 @@ fn twin_digest(ok: &[u32]) -> u64 {
     store.content_checksum()
 }
 
-fn arm_one(site: &'static str, kind: FaultKind, trigger: Trigger) -> ArmedFaults {
-    faults::arm(&FaultPlan::new().site(site, FaultSpec::new(kind, trigger)))
+/// Takes the process-global plan for the whole test, with nothing armed.
+fn hold() -> ArmedFaults {
+    faults::arm(&FaultPlan::new())
+}
+
+fn one(site: &'static str, kind: FaultKind, trigger: Trigger) -> FaultPlan {
+    FaultPlan::new().site(site, FaultSpec::new(kind, trigger))
 }
 
 /// The shared scenario for call-layer kinds on the WAL sites: arm, run,
 /// expect typed errors after the trigger, reopen, compare digests.
 fn torture_wal_site(site: &'static str, kind: FaultKind) {
+    let mut guard = hold();
     let dir = TestDir::new("torture-wal");
     let store = Store::open(dir.path(), opts()).expect("open");
-    let guard = arm_one(site, kind, Trigger::Nth(8));
+    guard.rearm(&one(site, kind, Trigger::Nth(8)));
 
     let (ok, errs) = workload(&store, 20);
     assert!(!errs.is_empty(), "{site}: fault never surfaced");
@@ -96,7 +104,7 @@ fn torture_wal_site(site: &'static str, kind: FaultKind) {
     );
 
     drop(store);
-    drop(guard);
+    guard.rearm(&FaultPlan::new());
 
     // Reopening heals the store. The recovered state must be a *prefix*
     // of the workload that contains every acknowledged commit. It may
@@ -155,10 +163,11 @@ fn wal_sync_eio_is_typed_and_recovery_matches_twin() {
 /// to a fault-free twin of the **full** workload.
 #[test]
 fn wal_eintr_and_short_writes_are_absorbed_by_retries() {
+    let mut guard = hold();
     for kind in [FaultKind::Eintr, FaultKind::Short] {
         let dir = TestDir::new("torture-absorb");
         let store = Store::open(dir.path(), opts()).expect("open");
-        let guard = arm_one(faults::WAL_APPEND, kind, Trigger::Every(3));
+        guard.rearm(&one(faults::WAL_APPEND, kind, Trigger::Every(3)));
 
         let (ok, errs) = workload(&store, 20);
         assert!(errs.is_empty(), "{kind:?}: absorbed kind surfaced {errs:?}");
@@ -166,7 +175,7 @@ fn wal_eintr_and_short_writes_are_absorbed_by_retries() {
         assert!(guard.fired(faults::WAL_APPEND) >= 1, "{kind:?} never fired");
 
         drop(store);
-        drop(guard);
+        guard.rearm(&FaultPlan::new());
 
         let recovered = Store::open(dir.path(), opts()).expect("reopen");
         let all: Vec<u32> = (0..20).collect();
@@ -185,10 +194,15 @@ fn wal_eintr_and_short_writes_are_absorbed_by_retries() {
 /// contents must match a twin of that prefix.
 #[test]
 fn wal_crash_at_offset_recovers_to_durable_prefix() {
+    let mut guard = hold();
     for offset in [8u64, 64, 200, 500] {
         let dir = TestDir::new("torture-crash");
         let store = Store::open(dir.path(), opts()).expect("open");
-        let guard = arm_one(faults::WAL_APPEND, FaultKind::Crash(offset), Trigger::Once);
+        guard.rearm(&one(
+            faults::WAL_APPEND,
+            FaultKind::Crash(offset),
+            Trigger::Once,
+        ));
 
         let (ok, errs) = workload(&store, 20);
         assert!(errs.is_empty(), "crash swallows silently, got {errs:?}");
@@ -201,7 +215,7 @@ fn wal_crash_at_offset_recovers_to_durable_prefix() {
             guard.fired(faults::WAL_APPEND) >= 1,
             "offset {offset} never crossed"
         );
-        drop(guard);
+        guard.rearm(&FaultPlan::new());
 
         let recovered = Store::open(dir.path(), opts()).expect("reopen after crash");
         let k = recovered.stats().recovered_entries as u32;
@@ -220,17 +234,18 @@ fn wal_crash_at_offset_recovers_to_durable_prefix() {
 /// install a torn snapshot over the good state.
 #[test]
 fn checkpoint_stream_faults_are_typed_and_do_not_poison() {
+    let mut guard = hold();
     for trigger in [Trigger::Once, Trigger::Nth(2)] {
         let dir = TestDir::new("torture-ckpt");
         let store = Store::open(dir.path(), opts()).expect("open");
         let (ok, errs) = workload(&store, 10);
         assert!(errs.is_empty());
 
-        let guard = arm_one(faults::CHECKPOINT_STREAM, FaultKind::Eio, trigger);
+        guard.rearm(&one(faults::CHECKPOINT_STREAM, FaultKind::Eio, trigger));
         let err = store.checkpoint().expect_err("checkpoint should fail");
         assert!(matches!(err, StoreError::Io(_)), "got {err:?}");
         assert!(guard.fired(faults::CHECKPOINT_STREAM) >= 1);
-        drop(guard);
+        guard.rearm(&FaultPlan::new());
 
         // A failed checkpoint breaks nothing: writes continue, and after
         // reopen the contents match the full fault-free twin.
@@ -263,11 +278,16 @@ fn snapshot_write_faults_never_install_torn_snapshots() {
         }],
     };
 
-    let guard = arm_one(faults::SNAPSHOT_WRITE, FaultKind::Enospc, Trigger::Once);
+    let mut guard = hold();
+    guard.rearm(&one(
+        faults::SNAPSHOT_WRITE,
+        FaultKind::Enospc,
+        Trigger::Once,
+    ));
     let err = snapshot::write(&path, &snap).expect_err("write should fail");
     assert!(matches!(err, StoreError::Io(_)), "got {err:?}");
     assert_eq!(guard.fired(faults::SNAPSHOT_WRITE), 1);
-    drop(guard);
+    guard.rearm(&FaultPlan::new());
     assert!(
         snapshot::read(&path).expect("read").is_none(),
         "failed write installed a file"
@@ -275,9 +295,13 @@ fn snapshot_write_faults_never_install_torn_snapshots() {
 
     // Crash mid-payload: writes swallowed, sync "succeeds", but the temp
     // file is torn — and a torn temp file must never install.
-    let guard = arm_one(faults::SNAPSHOT_WRITE, FaultKind::Crash(10), Trigger::Once);
+    guard.rearm(&one(
+        faults::SNAPSHOT_WRITE,
+        FaultKind::Crash(10),
+        Trigger::Once,
+    ));
     let res = snapshot::write(&path, &snap);
-    drop(guard);
+    guard.rearm(&FaultPlan::new());
     match res {
         // The producer noticed nothing (power loss): the installed bytes
         // are torn, and `read` must say so with a typed error.
@@ -298,6 +322,7 @@ fn snapshot_write_faults_never_install_torn_snapshots() {
 /// fault cleared — recovers the identical durable contents.
 #[test]
 fn recovery_scan_fault_is_typed_and_next_open_heals() {
+    let mut guard = hold();
     let dir = TestDir::new("torture-recov");
     let store = Store::open(dir.path(), opts()).expect("open");
     let (ok, errs) = workload(&store, 12);
@@ -310,7 +335,7 @@ fn recovery_scan_fault_is_typed_and_next_open_heals() {
     }
     drop(store);
 
-    let guard = arm_one(faults::RECOVERY_SCAN, FaultKind::Eio, Trigger::Once);
+    guard.rearm(&one(faults::RECOVERY_SCAN, FaultKind::Eio, Trigger::Once));
     let Err(err) = Store::open(dir.path(), opts()) else {
         panic!("open should fail");
     };
@@ -319,13 +344,12 @@ fn recovery_scan_fault_is_typed_and_next_open_heals() {
 
     // Second trigger position: fail the *WAL scan* (the snapshot load
     // consumes the first poll).
-    drop(guard);
-    let guard = arm_one(faults::RECOVERY_SCAN, FaultKind::Eio, Trigger::Nth(2));
+    guard.rearm(&one(faults::RECOVERY_SCAN, FaultKind::Eio, Trigger::Nth(2)));
     let Err(err) = Store::open(dir.path(), opts()) else {
         panic!("open should fail on wal scan");
     };
     assert!(matches!(err, StoreError::Io(_)), "got {err:?}");
-    drop(guard);
+    guard.rearm(&FaultPlan::new());
 
     let recovered = Store::open(dir.path(), opts()).expect("healed open");
     let mut all: Vec<u32> = ok;
@@ -337,13 +361,14 @@ fn recovery_scan_fault_is_typed_and_next_open_heals() {
 /// post-fault commit fails `Broken` (no flapping), reads still work.
 #[test]
 fn broken_store_fails_closed_until_reopen() {
+    let mut guard = hold();
     let dir = TestDir::new("torture-broken");
     let store = Store::open(dir.path(), opts()).expect("open");
-    let guard = arm_one(faults::WAL_APPEND, FaultKind::Eio, Trigger::Nth(3));
+    guard.rearm(&one(faults::WAL_APPEND, FaultKind::Eio, Trigger::Nth(3)));
     let (ok, errs) = workload(&store, 6);
     assert_eq!(ok, vec![0, 1]);
     assert_eq!(errs.len(), 4);
-    drop(guard);
+    guard.rearm(&FaultPlan::new());
     // Disarmed, but the store stays broken — the log can't be trusted.
     let err = store
         .put(T, key(99), val(99))

@@ -4,7 +4,10 @@
 //! suite guarantees for a file truncated at that offset.
 //!
 //! Every test in this binary arms the global fault plan (dedicated
-//! arming binary — see `fault_torture.rs` for the isolation rule).
+//! arming binary — see `fault_torture.rs` for the isolation rule), and
+//! holds its guard for the whole test: it arms an empty plan first and
+//! swaps plans under the held guard, so a parallel test's plan can never
+//! fire inside its fault-free reference writes.
 
 #![cfg(feature = "faults")]
 
@@ -33,8 +36,13 @@ fn reference_bytes(n: u32) -> Vec<u8> {
     std::fs::read(&path).expect("read")
 }
 
-fn arm(site: &'static str, kind: FaultKind, trigger: Trigger) -> faults::ArmedFaults {
-    faults::arm(&FaultPlan::new().site(site, FaultSpec::new(kind, trigger)))
+/// Takes the process-global plan for the whole test, with nothing armed.
+fn hold() -> faults::ArmedFaults {
+    faults::arm(&FaultPlan::new())
+}
+
+fn one(site: &'static str, kind: FaultKind, trigger: Trigger) -> FaultPlan {
+    FaultPlan::new().site(site, FaultSpec::new(kind, trigger))
 }
 
 /// Crash injected at byte offset `c` must recover exactly what the
@@ -43,6 +51,7 @@ fn arm(site: &'static str, kind: FaultKind, trigger: Trigger) -> faults::ArmedFa
 #[test]
 fn crash_at_every_offset_of_last_frame_matches_torn_tail_truncation() {
     const N: u32 = 6;
+    let mut guard = hold();
     let reference = reference_bytes(N);
     let last_frame_len = 8 + payload(N - 1).len(); // header + body
     let sweep_start = reference.len() - last_frame_len - 4; // margin into frame N-2
@@ -58,11 +67,11 @@ fn crash_at_every_offset_of_last_frame_matches_torn_tail_truncation() {
         // writer dropped while the fault is live (power loss).
         let dir = TestDir::new("sweep-crash");
         let path = dir.path().join("crash.wal");
-        let guard = arm(
+        guard.rearm(&one(
             faults::WAL_APPEND,
             FaultKind::Crash(cut as u64),
             Trigger::Once,
-        );
+        ));
         let mut w = Wal::create(&path).expect("create");
         for i in 0..N {
             w.append(&payload(i))
@@ -71,7 +80,7 @@ fn crash_at_every_offset_of_last_frame_matches_torn_tail_truncation() {
         // Flush is swallowed past the offset too; sync may "succeed".
         let _ = w.sync();
         drop(w);
-        drop(guard);
+        guard.rearm(&FaultPlan::new());
 
         let got = wal::scan(&path).expect("scan crashed");
         assert_eq!(
@@ -89,9 +98,14 @@ fn crash_at_every_offset_of_last_frame_matches_torn_tail_truncation() {
 /// `write_all` retry loop: all frames recover.
 #[test]
 fn short_write_on_every_poll_recovers_every_frame() {
+    let mut guard = hold();
     let dir = TestDir::new("sweep-short");
     let path = dir.path().join("short.wal");
-    let guard = arm(faults::WAL_APPEND, FaultKind::Short, Trigger::Every(1));
+    guard.rearm(&one(
+        faults::WAL_APPEND,
+        FaultKind::Short,
+        Trigger::Every(1),
+    ));
     let mut w = Wal::create(&path).expect("create");
     for i in 0..40 {
         w.append(&payload(i)).expect("append");
@@ -99,7 +113,7 @@ fn short_write_on_every_poll_recovers_every_frame() {
     w.sync().expect("sync");
     drop(w);
     assert!(guard.fired(faults::WAL_APPEND) > 0, "short never fired");
-    drop(guard);
+    guard.rearm(&FaultPlan::new());
 
     let s = wal::scan(&path).expect("scan");
     assert_eq!(s.frames.len(), 40);
@@ -113,10 +127,11 @@ fn short_write_on_every_poll_recovers_every_frame() {
 /// call-layer check fails the operation before any bytes are written.
 #[test]
 fn enospc_on_nth_append_recovers_exactly_the_preceding_frames() {
+    let mut guard = hold();
     for n in [1u64, 3, 10] {
         let dir = TestDir::new("sweep-enospc");
         let path = dir.path().join("enospc.wal");
-        let guard = arm(faults::WAL_APPEND, FaultKind::Enospc, Trigger::Nth(n));
+        guard.rearm(&one(faults::WAL_APPEND, FaultKind::Enospc, Trigger::Nth(n)));
         let mut w = Wal::create(&path).expect("create");
         let mut failed_at = None;
         for i in 0..10u32 {
@@ -136,7 +151,7 @@ fn enospc_on_nth_append_recovers_exactly_the_preceding_frames() {
         );
         w.sync().expect("sync of surviving frames");
         drop(w);
-        drop(guard);
+        guard.rearm(&FaultPlan::new());
 
         let s = wal::scan(&path).expect("scan");
         assert_eq!(

@@ -6,7 +6,10 @@
 //!
 //! This binary arms the process-global fault plan; every test here must
 //! arm (see `crates/store/tests/fault_torture.rs` for the isolation
-//! rule).
+//! rule). Each test holds its guard from first line to last: it arms an
+//! empty plan, swaps in the fault plan for the faulty phase and back to
+//! the empty plan afterwards, so a parallel test's plan can never fire
+//! inside its healthy prefix or its twin replays.
 
 #![cfg(feature = "faults")]
 
@@ -59,13 +62,14 @@ fn healthy_prefix(engine: &mut ITagEngine) -> u32 {
 
 #[test]
 fn wal_fault_under_engine_is_typed_and_recovery_matches_replay_twin() {
+    let mut guard = faults::arm(&FaultPlan::new());
     let dir = TestDir::new("engine-torture");
     let mut engine = ITagEngine::new(config(dir.path())).expect("engine");
     healthy_prefix(&mut engine);
 
     // Arm: every WAL append from here on fails. The next write-path
     // operation must fail with a typed storage fault.
-    let guard = faults::arm(&FaultPlan::new().site(
+    guard.rearm(&FaultPlan::new().site(
         faults::WAL_APPEND,
         FaultSpec::new(FaultKind::Eio, Trigger::After(0)),
     ));
@@ -92,7 +96,7 @@ fn wal_fault_under_engine_is_typed_and_recovery_matches_replay_twin() {
         "{err2} should classify as a storage fault"
     );
 
-    drop(guard);
+    guard.rearm(&FaultPlan::new());
     drop(engine);
 
     // Reopen: the engine recovers, and its persisted state equals a
@@ -156,11 +160,12 @@ fn batched_prefix(engine: &mut ITagEngine) {
 /// the acknowledged prefix.
 #[test]
 fn group_commit_fault_fails_the_whole_group_and_recovers_to_prefix() {
+    let mut guard = faults::arm(&FaultPlan::new());
     let dir = TestDir::new("engine-group-fault");
     let mut engine = ITagEngine::new(batched_config(dir.path())).expect("engine");
     batched_prefix(&mut engine);
 
-    let guard = faults::arm(&FaultPlan::new().site(
+    guard.rearm(&FaultPlan::new().site(
         faults::WAL_APPEND,
         FaultSpec::new(FaultKind::Eio, Trigger::After(0)),
     ));
@@ -172,7 +177,7 @@ fn group_commit_fault_fails_the_whole_group_and_recovers_to_prefix() {
         "{err} should classify as a storage fault"
     );
     assert!(guard.fired(faults::WAL_APPEND) >= 1);
-    drop(guard);
+    guard.rearm(&FaultPlan::new());
     drop(engine);
 
     // The failed group was all-or-nothing: recovery lands exactly on the
@@ -201,11 +206,12 @@ fn group_commit_fault_fails_the_whole_group_and_recovers_to_prefix() {
 /// group members' merges survived and others vanished.
 #[test]
 fn crash_mid_batched_group_frame_recovers_atomically() {
+    let mut guard = faults::arm(&FaultPlan::new());
     let dir = TestDir::new("engine-group-crash");
     let mut engine = ITagEngine::new(batched_config(dir.path())).expect("engine");
     batched_prefix(&mut engine);
 
-    let guard = faults::arm(&FaultPlan::new().site(
+    guard.rearm(&FaultPlan::new().site(
         faults::WAL_APPEND,
         FaultSpec::new(FaultKind::Crash(4_000), Trigger::Once),
     ));
@@ -217,7 +223,7 @@ fn crash_mid_batched_group_frame_recovers_atomically() {
         guard.fired(faults::WAL_APPEND) >= 1,
         "crash offset was never reached; the round wrote fewer WAL bytes than expected"
     );
-    drop(guard);
+    guard.rearm(&FaultPlan::new());
 
     let recovered = ITagEngine::new(batched_config(dir.path())).expect("reopen after crash");
 
@@ -247,11 +253,12 @@ fn crash_mid_batched_group_frame_recovers_atomically() {
 /// panics, no corruption errors, and the store serves reads and writes.
 #[test]
 fn wal_crash_under_engine_recovers_consistently() {
+    let mut guard = faults::arm(&FaultPlan::new());
     let dir = TestDir::new("engine-crash");
     let mut engine = ITagEngine::new(config(dir.path())).expect("engine");
     healthy_prefix(&mut engine);
 
-    let guard = faults::arm(&FaultPlan::new().site(
+    guard.rearm(&FaultPlan::new().site(
         faults::WAL_APPEND,
         FaultSpec::new(FaultKind::Crash(40_000), Trigger::Once),
     ));
@@ -261,7 +268,7 @@ fn wal_crash_under_engine_recovers_consistently() {
     }
     // Power loss: the engine dies with the fault still armed.
     drop(engine);
-    drop(guard);
+    guard.rearm(&FaultPlan::new());
 
     let mut recovered = ITagEngine::new(config(dir.path())).expect("reopen after crash");
     recovered
