@@ -2,11 +2,14 @@
 //! substitute): WAL append, point lookup, ordered scan, recovery.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use itag_core::config::EngineConfig;
+use itag_core::engine::ITagEngine;
 use itag_store::db::{Durability, Store, StoreOptions};
 use itag_store::table::Entity;
 use itag_store::testutil::TestDir;
 use itag_store::{TableId, TypedTable, WriteBatch};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -206,12 +209,72 @@ fn bench_recovery(c: &mut Criterion) {
     group.finish();
 }
 
+/// Ordered loads through both of their callers: seeding the wire
+/// benchmark's 600k-tagger population into a fresh engine (bulk
+/// registration: one range scan and one commit per 4,096 ids), and
+/// reopening a checkpoint of 300k user-shaped pairs (recovery routes each
+/// pair once into its shard). Every pair takes the memtable's append
+/// path. The previous iteration's engine or store is dropped in the
+/// untimed set-up.
+fn bench_ordered_loads(c: &mut Criterion) {
+    let retired: RefCell<Option<Box<dyn std::any::Any>>> = RefCell::new(None);
+    let mut group = c.benchmark_group("store/ingest");
+    group.sample_size(10);
+    group.bench_function("seed_600k", |b| {
+        b.iter_batched(
+            || {
+                retired.take();
+                ITagEngine::new(EngineConfig::in_memory(7)).unwrap()
+            },
+            |mut engine| {
+                engine.seed_taggers(0, 600_000).unwrap();
+                *retired.borrow_mut() = Some(Box::new(engine));
+            },
+            BatchSize::PerIteration,
+        );
+    });
+    group.finish();
+    retired.take();
+
+    const N: u32 = 300_000;
+    let dir = TestDir::new("bench-open");
+    {
+        let store = Store::open(dir.path(), StoreOptions::default()).unwrap();
+        for start in (0..N).step_by(10_000) {
+            let mut batch = WriteBatch::with_capacity(10_000);
+            for i in start..start + 10_000 {
+                let key = [&1u16.to_be_bytes()[..], &i.to_be_bytes()[..]].concat();
+                batch.put(T, key, format!("tagger-{i}").into_bytes());
+            }
+            store.commit(batch).unwrap();
+        }
+        store.checkpoint().unwrap();
+    }
+    let mut group = c.benchmark_group("store/recover");
+    group.sample_size(10);
+    group.bench_function("open_300k", |b| {
+        b.iter_batched(
+            || {
+                retired.take();
+            },
+            |()| {
+                let store = Store::open(dir.path(), StoreOptions::default()).unwrap();
+                assert_eq!(store.count(T), N as usize);
+                *retired.borrow_mut() = Some(Box::new(store));
+            },
+            BatchSize::PerIteration,
+        );
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_commit,
     bench_reads,
     bench_typed_reads,
     bench_snapshot_writes,
-    bench_recovery
+    bench_recovery,
+    bench_ordered_loads
 );
 criterion_main!(benches);

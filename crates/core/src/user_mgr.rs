@@ -275,11 +275,14 @@ impl UserManager {
     }
 
     /// Bulk-registers `count` users with ids `start..start + count`
-    /// (population seeding for scale scenarios). Existing records are left
+    /// (population seeding for scale scenarios; the range saturates at
+    /// `u32::MAX`, which is never registered). Existing records are left
     /// untouched; rows are staged in chunked batches so seeding a large
-    /// population costs a handful of commits, not one per user. The RMW
-    /// lock is taken per chunk — each id's exists-check and write stay
-    /// atomic against concurrent registrations, but a big seed never
+    /// population costs a handful of commits, not one per user. Each
+    /// chunk finds its existing ids with one range scan and encodes every
+    /// new record through one reused record and one scratch buffer. The
+    /// RMW lock is taken per chunk — each id's exists-check and write
+    /// stay atomic against concurrent registrations, but a big seed never
     /// stalls the store's other read-modify-write users for its whole
     /// duration.
     pub fn register_bulk(
@@ -289,21 +292,33 @@ impl UserManager {
         count: u32,
         prefix: &str,
     ) -> Result<()> {
+        use std::fmt::Write as _;
         const CHUNK: u32 = 4096;
+        let tag = role.tag();
+        let mut record = UserRecord::new(role, start, String::new());
+        let mut scratch = Vec::new();
         let mut id = start;
         let end = start.saturating_add(count);
         while id < end {
             let chunk_end = id.saturating_add(CHUNK).min(end);
             let _rmw = self.table.store().rmw_guard();
+            let mut existing = self
+                .table
+                .keys_in_range(&(tag, id), Some(&(tag, chunk_end)))?
+                .into_iter()
+                .map(|(_, i)| i)
+                .peekable();
             let mut batch = WriteBatch::with_capacity((chunk_end - id) as usize);
             for i in id..chunk_end {
-                if self.table.get_arc(&(role.tag(), i))?.is_some() {
+                if existing.next_if_eq(&i).is_some() {
                     continue;
                 }
-                self.table.stage_upsert(
-                    &mut batch,
-                    &UserRecord::new(role, i, format!("{prefix}{i}")),
-                )?;
+                record.id = i;
+                record.name.clear();
+                // Formatting into a `String` cannot fail.
+                let _ = write!(record.name, "{prefix}{i}");
+                self.table
+                    .stage_upsert_with(&mut batch, &record, &mut scratch)?;
             }
             if !batch.is_empty() {
                 self.table.store().commit(batch)?;
@@ -654,6 +669,67 @@ mod tests {
         // Zero-decision seeds are invisible to both snapshot builders.
         assert!(m.reputation_snapshot().unwrap().counters.len() == 1);
         assert_eq!(m.reputation_ledger().unwrap().tracked_taggers(), 1);
+    }
+
+    /// Ids that exist on either side of a chunk boundary (4096) are
+    /// skipped, never overwritten, and every other id is seeded.
+    #[test]
+    fn register_bulk_skips_existing_ids_at_chunk_boundaries() {
+        let m = mgr();
+        for id in [4095, 4096, 4097] {
+            m.register(UserRole::Tagger, id, &format!("old-{id}"))
+                .unwrap();
+        }
+        let mut batch = WriteBatch::new();
+        m.stage_decision(&mut batch, 1, 4096, true, 5).unwrap();
+        m.table.store().commit(batch).unwrap();
+        m.clear_staged();
+        let before: Vec<UserRecord> = [4095, 4096, 4097]
+            .map(|id| m.get(UserRole::Tagger, id).unwrap().unwrap())
+            .to_vec();
+
+        m.register_bulk(UserRole::Tagger, 0, 3 * 4096, "seed-")
+            .unwrap();
+        assert_eq!(m.taggers().unwrap().len(), 3 * 4096);
+        for (id, old) in [4095, 4096, 4097].into_iter().zip(&before) {
+            assert_eq!(&m.get(UserRole::Tagger, id).unwrap().unwrap(), old);
+        }
+        for id in [0, 4094, 4098, 3 * 4096 - 1] {
+            let seeded = m.get(UserRole::Tagger, id).unwrap().unwrap();
+            assert_eq!(
+                seeded,
+                UserRecord::new(UserRole::Tagger, id, format!("seed-{id}"))
+            );
+        }
+        // A second seed over the same range changes nothing.
+        let digest = m.table.store().content_checksum();
+        m.register_bulk(UserRole::Tagger, 0, 3 * 4096, "again-")
+            .unwrap();
+        assert_eq!(m.table.store().content_checksum(), digest);
+    }
+
+    /// A range ending at `u32::MAX` (and one that would overflow it)
+    /// stops below `u32::MAX` and keeps the existing id inside it.
+    #[test]
+    fn register_bulk_range_ending_at_u32_max() {
+        let m = mgr();
+        m.register(UserRole::Tagger, u32::MAX - 2, "old").unwrap();
+        m.register_bulk(UserRole::Tagger, u32::MAX - 5000, 5000, "seed-")
+            .unwrap();
+        assert_eq!(m.taggers().unwrap().len(), 5000);
+        assert_eq!(
+            m.get(UserRole::Tagger, u32::MAX - 2).unwrap().unwrap().name,
+            "old"
+        );
+        assert_eq!(
+            m.get(UserRole::Tagger, u32::MAX - 1).unwrap().unwrap().name,
+            format!("seed-{}", u32::MAX - 1)
+        );
+        assert!(m.get(UserRole::Tagger, u32::MAX).unwrap().is_none());
+        m.register_bulk(UserRole::Tagger, u32::MAX - 10, 100, "more-")
+            .unwrap();
+        assert_eq!(m.taggers().unwrap().len(), 5000);
+        assert!(m.get(UserRole::Tagger, u32::MAX).unwrap().is_none());
     }
 
     #[test]

@@ -170,7 +170,7 @@ pub fn read_uvarint(input: &[u8]) -> Option<(u64, &[u8])> {
         }
         v |= ((byte & 0x7F) as u64) << shift;
         if byte & 0x80 == 0 {
-            return Some((v, &input[i + 1..]));
+            return input.get(i + 1..).map(|rest| (v, rest));
         }
         shift += 7;
     }

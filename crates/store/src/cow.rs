@@ -2,29 +2,38 @@
 //! partition.
 //!
 //! A [`CowMap`] is an [`Arc`]'d sorted *directory* of [`Arc`]'d leaf
-//! *pages*. Each page holds at most [`PAGE`] `(key, value)` pairs in key
-//! order, and the pages cover ascending, disjoint key runs. An insert into
-//! a full page splits it in two, or opens a new page when the key goes
-//! past the page's last key; a page that empties is dropped.
+//! *pages*. Each page is one allocation holding at most [`PAGE`]
+//! `(key, value)` pairs in key order, and the pages cover ascending,
+//! disjoint key runs. An insert into a full page splits it in two, or
+//! opens a new page when the key goes past the page's last key; a page
+//! that empties is dropped.
 //!
 //! Costs, with `n` pairs in the map:
 //!
 //! * **Clone** — one refcount bump (the directory). An MVCC capture
 //!   ([`crate::Store::read_snapshot`]) therefore stays `O(shards × tables)`.
+//! * **Append** (a key past the map's last key: ordered loads such as
+//!   population seeding and checkpoint recovery) — no directory search,
+//!   no page search, no split. The pair goes onto the last page, or onto
+//!   a fresh page allocated at full [`PAGE`] capacity, so an ordered load
+//!   packs full pages and allocates one page per [`PAGE`] pairs.
 //! * **Write, map uniquely owned** — copies nothing: the directory and the
-//!   page are mutated in place.
+//!   page are mutated in place. An overwrite replaces the key and the
+//!   value together, so when the store keeps both as views of one buffer
+//!   the overwritten pair's buffer is released with it.
 //! * **Write while a clone is alive** — copies the directory (≈ `n / PAGE`
 //!   page handles) and the one page the key lands on (≤ [`PAGE`] pair
 //!   handles). Every other page stays shared with the clone. The count is
 //!   returned to the caller, which surfaces it as
 //!   [`crate::StoreStats::cow_pairs_copied`].
 //!
-//! A lookup is a binary search over the directory's first keys, then one
-//! inside the page. Both arrays carry each key's first 8 bytes inline, so
-//! a probe dereferences a key only when those bytes tie, and a directory
-//! entry is a single handle (its page), which keeps the directory copy to
-//! one refcount bump per page. The map never panics: every index is
-//! checked.
+//! Pair bytes are never copied by the map: keys and values are [`Bytes`]
+//! handles. A lookup is a binary search over the directory's first keys,
+//! then one inside the page. Both arrays carry each key's first 8 bytes
+//! inline, so a probe dereferences a key only when those bytes tie, and a
+//! directory entry is a single handle (its page), which keeps the
+//! directory copy to one refcount bump per page. The map never panics:
+//! every index is checked.
 
 use bytes::Bytes;
 use std::cmp::Ordering;
@@ -75,29 +84,146 @@ struct Slot {
     value: Bytes,
 }
 
-type Page = Arc<Vec<Slot>>;
+/// A page's slot array in one allocation: its pairs in key order, then
+/// `None` spare capacity. The array's length is the page's capacity; the
+/// pair count lives in the directory [`Entry`].
+type Page = Arc<[Option<Slot>]>;
 
-/// One directory entry: a page and the prefix of its first key.
+/// A page of capacity `cap` holding `slots` (at most `cap` of them),
+/// allocated once: every piece of the iterator knows its length, so the
+/// `Arc` is sized up front and filled in place.
+fn new_page(cap: usize, slots: impl Iterator<Item = Option<Slot>>) -> Page {
+    slots
+        .chain(std::iter::repeat_with(|| None))
+        .take(cap)
+        .collect()
+}
+
+/// One directory entry: a page, its pair count and the prefix of its
+/// first key.
 #[derive(Clone)]
 struct Entry {
     prefix: u64,
+    len: usize,
     page: Page,
 }
 
 impl Entry {
-    fn new(page: Vec<Slot>) -> Self {
+    /// A fresh page at full capacity holding just `slot`.
+    fn fresh(slot: Slot) -> Self {
         Entry {
-            prefix: page.first().map_or(0, |s| s.prefix),
-            page: Arc::new(page),
+            prefix: slot.prefix,
+            len: 1,
+            page: new_page(PAGE, std::iter::once(Some(slot))),
         }
+    }
+
+    /// The occupied slots (all `Some`), in key order.
+    fn slots(&self) -> &[Option<Slot>] {
+        self.page.get(..self.len).unwrap_or_default()
+    }
+
+    fn slot(&self, i: usize) -> Option<&Slot> {
+        self.slots().get(i)?.as_ref()
+    }
+
+    fn last(&self) -> Option<&Slot> {
+        self.slots().last()?.as_ref()
     }
 
     /// How this page's first key orders against `probe`.
     fn vs(&self, probe: Probe<'_>) -> Ordering {
         self.prefix.cmp(&probe.prefix).then_with(|| {
-            let first = self.page.first().map_or(&[][..], |s| s.key.as_ref());
+            let first = self.slot(0).map_or(&[][..], |s| s.key.as_ref());
             first.cmp(probe.key)
         })
+    }
+
+    /// Where `probe` is, or would be inserted, in this page.
+    fn search(&self, probe: Probe<'_>) -> Result<usize, usize> {
+        self.slots().binary_search_by(|s| match s {
+            Some(s) => probe.vs(s),
+            None => Ordering::Greater,
+        })
+    }
+
+    /// The page's slot array, unshared and with room for at least `need`
+    /// pairs. A shared page is copied, adding the pair handles copied to
+    /// `copied`. A page that is too small is regrown to the next power of
+    /// two, capped at [`PAGE`], like a vector grown in place (moving its
+    /// pairs when it is private), so a page never outgrows a page's
+    /// footprint.
+    fn writable(&mut self, need: usize, copied: &mut usize) -> &mut [Option<Slot>] {
+        let len = self.len;
+        if self.page.len() < need {
+            let cap = need.next_power_of_two().min(PAGE).max(need);
+            self.page = match Arc::get_mut(&mut self.page) {
+                Some(slots) => new_page(cap, slots.iter_mut().take(len).map(Option::take)),
+                None => {
+                    *copied += len;
+                    new_page(cap, self.slots().iter().cloned())
+                }
+            };
+        }
+        // One uniqueness check: `make_mut` copies a shared page (same
+        // capacity) and leaves a private one where it is.
+        let before = Arc::as_ptr(&self.page);
+        let slots = Arc::make_mut(&mut self.page);
+        if !std::ptr::eq(before, slots) {
+            *copied += len;
+        }
+        slots
+    }
+
+    /// Inserts `slot` at index `i`; the page must have a free slot.
+    fn insert(&mut self, i: usize, slot: Slot, copied: &mut usize) {
+        let len = self.len;
+        if i == 0 {
+            self.prefix = slot.prefix;
+        }
+        let slots = self.writable(len + 1, copied);
+        if let Some(run) = slots.get_mut(i..=len) {
+            if let Some(free) = run.last_mut() {
+                *free = Some(slot);
+            }
+            if i < len {
+                run.rotate_right(1);
+            }
+            self.len += 1;
+        }
+    }
+
+    /// Removes the pair at index `i`.
+    fn remove(&mut self, i: usize, copied: &mut usize) {
+        let len = self.len;
+        let slots = self.writable(len, copied);
+        if let Some(run) = slots.get_mut(i..len) {
+            run.rotate_left(1);
+            if let Some(last) = run.last_mut() {
+                *last = None;
+            }
+            self.len -= 1;
+        }
+        if let Some(first) = self.slot(0) {
+            self.prefix = first.prefix;
+        }
+    }
+
+    /// Moves the upper half of this full page into a new page of full
+    /// capacity, returned as its own entry.
+    fn split(&mut self, copied: &mut usize) -> Entry {
+        let len = self.len;
+        let slots = self.writable(len, copied);
+        let upper = slots.get_mut(PAGE / 2..len).unwrap_or_default();
+        let right = new_page(PAGE, upper.iter_mut().map(Option::take));
+        self.len = PAGE / 2;
+        let mut entry = Entry {
+            prefix: 0,
+            len: len - PAGE / 2,
+            page: right,
+        };
+        entry.prefix = entry.slot(0).map_or(0, |s| s.prefix);
+        entry
     }
 }
 
@@ -117,30 +243,14 @@ fn page_for(pages: &[Entry], probe: Probe<'_>) -> usize {
         .saturating_sub(1)
 }
 
-/// Where `probe` is, or would be inserted, in `page`.
-fn search(page: &[Slot], probe: Probe<'_>) -> Result<usize, usize> {
-    page.binary_search_by(|s| probe.vs(s))
-}
-
 /// Unshares the directory, adding the handles copied to `copied`.
 fn dir_mut<'a>(pages: &'a mut Arc<Vec<Entry>>, copied: &mut usize) -> &'a mut Vec<Entry> {
-    if Arc::get_mut(pages).is_none() {
-        *copied += pages.len();
+    let (before, len) = (Arc::as_ptr(pages), pages.len());
+    let dir = Arc::make_mut(pages);
+    if !std::ptr::eq(before, dir) {
+        *copied += len;
     }
-    Arc::make_mut(pages)
-}
-
-/// Unshares one page, adding the pair handles copied to `copied`. A copy
-/// gets a power-of-two capacity no larger than [`PAGE`], like a page grown
-/// in place, so a later insert cannot blow it past a page's footprint.
-fn page_mut<'a>(slot: &'a mut Page, copied: &mut usize) -> &'a mut Vec<Slot> {
-    if Arc::get_mut(slot).is_none() {
-        let mut fresh = Vec::with_capacity((slot.len() + 1).next_power_of_two().min(PAGE));
-        fresh.extend(slot.iter().cloned());
-        *copied += fresh.len();
-        *slot = Arc::new(fresh);
-    }
-    Arc::make_mut(slot)
+    dir
 }
 
 impl CowMap {
@@ -152,9 +262,9 @@ impl CowMap {
     /// The value stored under `key`.
     pub(crate) fn get(&self, key: &[u8]) -> Option<&Bytes> {
         let probe = Probe::new(key);
-        let page = &self.pages.get(page_for(&self.pages, probe))?.page;
-        let i = search(page, probe).ok()?;
-        page.get(i).map(|s| &s.value)
+        let entry = self.pages.get(page_for(&self.pages, probe))?;
+        let i = entry.search(probe).ok()?;
+        entry.slot(i).map(|s| &s.value)
     }
 
     /// True if `key` is present.
@@ -164,13 +274,11 @@ impl CowMap {
 
     /// The largest key.
     pub(crate) fn last_key(&self) -> Option<&Bytes> {
-        self.pages
-            .last()
-            .and_then(|e| e.page.last())
-            .map(|s| &s.key)
+        self.pages.last().and_then(Entry::last).map(|s| &s.key)
     }
 
     /// Every pair, in key order.
+    #[cfg(test)]
     pub(crate) fn iter(&self) -> Range<'_> {
         self.range(&[], None)
     }
@@ -196,10 +304,12 @@ impl CowMap {
     fn seek(&self, key: &[u8]) -> (usize, usize) {
         let probe = Probe::new(key);
         let p = page_for(&self.pages, probe);
-        match self.pages.get(p).map(|e| &e.page) {
-            Some(page) => {
-                let i = page.partition_point(|s| probe.vs(s).is_lt());
-                if i < page.len() {
+        match self.pages.get(p) {
+            Some(entry) => {
+                let i = entry
+                    .slots()
+                    .partition_point(|s| s.as_ref().is_some_and(|s| probe.vs(s).is_lt()));
+                if i < entry.len {
                     (p, i)
                 } else {
                     (p + 1, 0)
@@ -209,11 +319,10 @@ impl CowMap {
         }
     }
 
-    /// Inserts `key → value`, overwriting any previous value. Returns how
-    /// many handles were copied to unshare the directory and the page (0
-    /// when the map is uniquely owned).
+    /// Inserts `key → value`, replacing both the key and the value of an
+    /// existing pair. Returns how many handles were copied to unshare the
+    /// directory and the page (0 when the map is uniquely owned).
     pub(crate) fn insert(&mut self, key: Bytes, value: Bytes) -> usize {
-        let mut copied = 0;
         let slot = Slot {
             prefix: prefix(&key),
             key,
@@ -223,49 +332,66 @@ impl CowMap {
             prefix: slot.prefix,
             key: &slot.key,
         };
+        let past_end = self
+            .pages
+            .last()
+            .and_then(Entry::last)
+            .is_none_or(|last| probe.vs(last).is_lt());
+        if past_end {
+            return self.append(slot);
+        }
+        let mut copied = 0;
         let pages = dir_mut(&mut self.pages, &mut copied);
         let p = page_for(pages, probe);
         let Some(entry) = pages.get_mut(p) else {
-            // Empty map: open the first page.
-            pages.push(Entry::new(vec![slot]));
-            self.len += 1;
             return copied;
         };
-        let page = page_mut(&mut entry.page, &mut copied);
-        let i = match search(page, probe) {
+        let i = match entry.search(probe) {
             Ok(i) => {
-                if let Some(old) = page.get_mut(i) {
-                    old.value = slot.value;
+                let len = entry.len;
+                if let Some(old) = entry.writable(len, &mut copied).get_mut(i) {
+                    *old = Some(slot);
                 }
                 return copied;
             }
             Err(i) => i,
         };
         self.len += 1;
-        if i == 0 {
-            // Only the first page can take a key below its first key.
-            entry.prefix = slot.prefix;
-        }
-        if page.len() < PAGE {
-            page.insert(i, slot);
+        if entry.len < PAGE {
+            entry.insert(i, slot, &mut copied);
             return copied;
         }
-        // The page is full. Past its last key (an ascending load, or
-        // appends at the end of one key range) open a fresh page after it,
-        // so sequential keys pack full pages; anywhere else split the
+        // The page is full. Past its last key (appends at the end of one
+        // key range) open a fresh page after it; anywhere else split the
         // page in half.
-        let new_page = if i == page.len() {
-            vec![slot]
+        let new_entry = if i == entry.len {
+            Entry::fresh(slot)
         } else {
-            let mut right = page.split_off(PAGE / 2);
+            let mut right = entry.split(&mut copied);
             if i <= PAGE / 2 {
-                page.insert(i, slot);
+                entry.insert(i, slot, &mut copied);
             } else {
-                right.insert(i - PAGE / 2, slot);
+                right.insert(i - PAGE / 2, slot, &mut copied);
             }
             right
         };
-        pages.insert(p + 1, Entry::new(new_page));
+        pages.insert(p + 1, new_entry);
+        copied
+    }
+
+    /// The append path of [`CowMap::insert`]: `slot`'s key sorts after
+    /// every key in the map.
+    fn append(&mut self, slot: Slot) -> usize {
+        let mut copied = 0;
+        let pages = dir_mut(&mut self.pages, &mut copied);
+        self.len += 1;
+        match pages.last_mut() {
+            Some(last) if last.len < PAGE => {
+                let i = last.len;
+                last.insert(i, slot, &mut copied);
+            }
+            _ => pages.push(Entry::fresh(slot)),
+        }
         copied
     }
 
@@ -277,7 +403,7 @@ impl CowMap {
         let Some((i, page_len)) = self
             .pages
             .get(p)
-            .and_then(|e| search(&e.page, probe).ok().map(|i| (i, e.page.len())))
+            .and_then(|e| e.search(probe).ok().map(|i| (i, e.len)))
         else {
             return 0;
         };
@@ -286,11 +412,7 @@ impl CowMap {
         if page_len == 1 {
             pages.remove(p);
         } else if let Some(entry) = pages.get_mut(p) {
-            let page = page_mut(&mut entry.page, &mut copied);
-            page.remove(i);
-            if let (0, Some(first)) = (i, page.first()) {
-                entry.prefix = first.prefix;
-            }
+            entry.remove(i, &mut copied);
         }
         self.len -= 1;
         copied
@@ -306,21 +428,33 @@ pub(crate) struct Range<'a> {
     end: (usize, usize),
 }
 
+/// A pair with its key's inline prefix: ordering by `(prefix, key)` is
+/// key order, and decides on the prefix alone unless prefixes tie.
+pub(crate) type Prefixed<'a> = (u64, &'a Bytes, &'a Bytes);
+
+impl<'a> Range<'a> {
+    /// The next pair with its key's prefix, for merging the ranges of
+    /// several maps.
+    pub(crate) fn next_prefixed(&mut self) -> Option<Prefixed<'a>> {
+        if (self.page, self.pos) >= self.end {
+            return None;
+        }
+        let entry = self.pages.get(self.page)?;
+        let slot = entry.slot(self.pos)?;
+        self.pos += 1;
+        if self.pos >= entry.len {
+            self.page += 1;
+            self.pos = 0;
+        }
+        Some((slot.prefix, &slot.key, &slot.value))
+    }
+}
+
 impl<'a> Iterator for Range<'a> {
     type Item = (&'a Bytes, &'a Bytes);
 
     fn next(&mut self) -> Option<Self::Item> {
-        if (self.page, self.pos) >= self.end {
-            return None;
-        }
-        let page = &self.pages.get(self.page)?.page;
-        let slot = page.get(self.pos)?;
-        self.pos += 1;
-        if self.pos >= page.len() {
-            self.page += 1;
-            self.pos = 0;
-        }
-        Some((&slot.key, &slot.value))
+        self.next_prefixed().map(|(_, k, v)| (k, v))
     }
 }
 
@@ -370,15 +504,24 @@ mod tests {
         );
         let mut prev: Option<&Bytes> = None;
         for entry in m.pages.iter() {
-            let page = &entry.page;
-            assert_eq!(page.first().map(|s| s.prefix), Some(entry.prefix));
+            assert_eq!(entry.slot(0).map(|s| s.prefix), Some(entry.prefix));
             assert!(
-                !page.is_empty() && page.len() <= PAGE,
-                "page size {}",
-                page.len()
+                entry.len >= 1 && entry.len <= entry.page.len(),
+                "page size {} of capacity {}",
+                entry.len,
+                entry.page.len()
             );
-            assert!(page.capacity() <= PAGE, "page capacity {}", page.capacity());
-            for s in page.iter() {
+            assert!(
+                entry.page.len() <= PAGE,
+                "page capacity {}",
+                entry.page.len()
+            );
+            assert!(
+                entry.page.iter().skip(entry.len).all(Option::is_none),
+                "a pair past the page's count"
+            );
+            for s in entry.slots() {
+                let s = s.as_ref().expect("occupied slot");
                 assert_eq!(s.prefix, prefix(&s.key));
                 assert!(prev.is_none_or(|p| *p < s.key), "keys out of order");
                 prev = Some(&s.key);
@@ -386,9 +529,17 @@ mod tests {
         }
     }
 
+    /// The copy bound of one write: the directory plus one page.
+    fn assert_copy_bound(copied: usize, m: &CowMap) {
+        let bound = m.pages.len() + PAGE;
+        assert!(copied <= bound, "a write copied {copied} handles > {bound}");
+    }
+
     #[derive(Debug, Clone)]
     enum Step {
         Put(u16, u8),
+        /// `len` puts of ascending keys from `from` (an ordered load).
+        Run(u16, u16),
         Del(u16),
         Scan(u16, Option<u16>),
         Clone,
@@ -397,10 +548,29 @@ mod tests {
     fn arb_step() -> impl Strategy<Value = Step> {
         prop_oneof![
             6 => (0u16..1500, any::<u8>()).prop_map(|(k, v)| Step::Put(k, v)),
+            1 => (0u16..1500, 1u16..64).prop_map(|(k, n)| Step::Run(k, n)),
             3 => (0u16..1500).prop_map(Step::Del),
             1 => (0u16..1600, prop::option::of(0u16..1600)).prop_map(|(a, b)| Step::Scan(a, b)),
             1 => Just(Step::Clone),
         ]
+    }
+
+    /// Keys of ordered runs: ascending in `k`, and after every
+    /// [`mixed_key`] of the same `k` range, so a run past the map's last
+    /// key takes the append path while a run into the middle of earlier
+    /// runs splits pages.
+    fn run_key(k: u16) -> Vec<u8> {
+        let mut v = b"r".to_vec();
+        v.extend(k.to_be_bytes());
+        v
+    }
+
+    /// Applies one put to the map and the oracle, checking that while a
+    /// clone is alive the write copies at most the directory and one page.
+    fn put(m: &mut CowMap, o: &mut Oracle, key: Vec<u8>, v: u8) {
+        let copied = m.insert(Bytes::from(key.clone()), Bytes::from(vec![v]));
+        assert_copy_bound(copied, m);
+        o.insert(key, vec![v]);
     }
 
     proptest! {
@@ -419,14 +589,18 @@ mod tests {
             let mut frozen: Vec<(CowMap, Oracle)> = Vec::new();
             for step in steps {
                 match step {
-                    Step::Put(k, v) => {
-                        m.insert(Bytes::from(mixed_key(k)), Bytes::from(vec![v]));
-                        o.insert(mixed_key(k), vec![v]);
+                    Step::Put(k, v) => put(&mut m, &mut o, mixed_key(k), v),
+                    Step::Run(from, len) => {
+                        for k in from..from.saturating_add(len).min(1500) {
+                            put(&mut m, &mut o, run_key(k), k as u8);
+                        }
                     }
                     Step::Del(k) => {
-                        m.remove(&mixed_key(k));
-                        o.remove(&mixed_key(k));
-                        prop_assert!(!m.contains_key(&mixed_key(k)));
+                        for key in [mixed_key(k), run_key(k)] {
+                            assert_copy_bound(m.remove(&key), &m);
+                            o.remove(&key);
+                            prop_assert!(!m.contains_key(&key));
+                        }
                     }
                     Step::Scan(a, b) => {
                         let to = b.map(mixed_key);
@@ -439,6 +613,46 @@ mod tests {
                     Step::Clone => frozen.push((m.clone(), o.clone())),
                 }
             }
+            check(&m, &o);
+            for (snap, at) in &frozen {
+                check(snap, at);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// An ordered load in runs, with clones taken between random runs:
+        /// every append under a live clone copies at most the directory
+        /// of full pages and the last page — `n / PAGE + PAGE` handles
+        /// for `n` pairs — the load packs full pages, and every clone
+        /// keeps reading what it was taken with.
+        #[test]
+        fn ascending_loads_pack_pages_and_copy_one_page_under_a_clone(
+            runs in prop::collection::vec((1usize..700, any::<bool>()), 1..40),
+        ) {
+            let mut m = CowMap::default();
+            let mut o = Oracle::new();
+            let mut frozen: Vec<(CowMap, Oracle)> = Vec::new();
+            let mut next = 0u32;
+            for (len, clone_after) in runs {
+                for _ in 0..len {
+                    let key = next.to_be_bytes().to_vec();
+                    next += 1;
+                    let n = m.len();
+                    let copied = m.insert(Bytes::from(key.clone()), Bytes::from(vec![1]));
+                    prop_assert!(
+                        copied <= n / PAGE + PAGE,
+                        "an append into {} pairs copied {} handles", n, copied
+                    );
+                    o.insert(key, vec![1]);
+                }
+                if clone_after {
+                    frozen.push((m.clone(), o.clone()));
+                }
+            }
+            prop_assert_eq!(m.pages.len(), m.len().div_ceil(PAGE));
             check(&m, &o);
             for (snap, at) in &frozen {
                 check(snap, at);
@@ -484,6 +698,26 @@ mod tests {
         // now-private page copies only the (private) directory — nothing.
         assert_eq!(m.remove(&key(60_000)), 0);
         assert_eq!(m.insert(Bytes::from(key(12_346)), Bytes::from(vec![3])), 0);
+    }
+
+    /// An overwrite replaces the key handle too, so a pair stored as two
+    /// views of one buffer never keeps an overwritten buffer alive.
+    #[test]
+    fn an_overwrite_replaces_both_views() {
+        let views = |k: &[u8], v: &[u8]| {
+            let mut key: Bytes = k.iter().chain(v).copied().collect();
+            let value = key.split_off(k.len());
+            (key, value)
+        };
+        let mut m = CowMap::default();
+        let (k1, v1) = views(b"key", b"old");
+        m.insert(k1, v1);
+        let (k2, v2) = views(b"key", b"new");
+        let (k2_ptr, v2_ptr) = (k2.as_ptr(), v2.as_ptr());
+        m.insert(k2, v2);
+        let (key, value) = m.iter().next().unwrap();
+        assert_eq!((key.as_ptr(), value.as_ptr()), (k2_ptr, v2_ptr));
+        assert_eq!(m.len(), 1);
     }
 
     #[test]

@@ -74,9 +74,9 @@
 //! the stored bytes. To keep tight read-modify-write loops from paying a
 //! decode per `get`, the store carries a **per-shard decoded-entity
 //! cache**: `(table, key) → (stored bytes, Arc<decoded>)`. A cached entry
-//! is valid only while the memtable still holds the *same* `Bytes`
-//! allocation (pointer identity — the slot keeps the old buffer alive, so
-//! a match is proof nothing was overwritten). Committed puts staged via
+//! is valid only while the memtable still holds the *same* `Bytes` view
+//! (same data pointer and length — the slot keeps the old buffer alive,
+//! so a match is proof nothing was overwritten). Committed puts staged via
 //! [`crate::txn::WriteBatch::put_cached`] write through into the cache
 //! under the same shard write lock that applies them; plain puts and
 //! deletes invalidate. The cache therefore never changes results, only
@@ -235,10 +235,10 @@ pub(crate) type Memtable = BTreeMap<TableId, TableMap>;
 
 /// One decoded-entity cache partition: `table → key → slot`.
 struct CacheSlot {
-    /// The exact stored buffer this decode came from. Pointer identity
-    /// against the live memtable value proves the slot is current (the
-    /// slot keeps this allocation alive, so the address cannot be reused
-    /// while the entry exists).
+    /// The exact stored view this decode came from. The same data
+    /// pointer and length as the live memtable value prove the slot is
+    /// current (the slot keeps the buffer alive, so the address cannot be
+    /// reused while the entry exists).
     value: Bytes,
     decoded: CachedEntity,
 }
@@ -380,18 +380,76 @@ fn snapshot_path(dir: &Path) -> PathBuf {
     dir.join("db.snp")
 }
 
-/// Stable shard router: FxHash of `(table, key)` mod shard count. Must not
-/// change across versions or recovery would repartition differently than
-/// the writes that produced the WAL (harmless, but checksums over shard
-/// contents would shift).
+/// Shard router: FxHash of `(table, key)`, avalanched, mod shard count.
+/// FxHash alone leaves the low bits to the first bytes of each 8-byte
+/// word, so every big-endian `u64` key of a table (post ids, say) would
+/// land in one shard; the finalizer spreads them.
+///
+/// The low 4 bits of the key's last byte are left out, so runs of 16
+/// consecutive big-endian ids share a shard: a merged scan
+/// ([`MergedTableIter`]) reads each run from one shard with one key
+/// comparison per pair, while the runs still spread over every shard.
+///
+/// Nothing on disk depends on the router: the WAL, checkpoints and
+/// [`Store::content_checksum`] see keys in merged key order, so a
+/// database reopens identically under any router or shard count.
 pub(crate) fn route(shards: usize, table: TableId, key: &[u8]) -> usize {
     if shards == 1 {
         return 0;
     }
     let mut h = FxHasher::default();
     h.write_u16(table.0);
-    h.write(key);
-    (h.finish() % shards as u64) as usize
+    if let Some((last, head)) = key.split_last() {
+        h.write(head);
+        h.write_u8(last & 0xF0);
+    }
+    (avalanche(h.finish()) % shards as u64) as usize
+}
+
+/// MurmurHash3's 64-bit finalizer: every input bit affects every output
+/// bit.
+fn avalanche(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+/// One stored pair as two views of a single buffer (`key ++ value`): one
+/// allocation per pair, freed once the pair, every snapshot sharing it
+/// and its entity-cache slot let go. The two halves are joined in
+/// `scratch`, a buffer the caller reuses across pairs, so the shared
+/// buffer is filled by one bulk copy.
+fn pair(scratch: &mut Vec<u8>, key: &[u8], value: &[u8]) -> (Bytes, Bytes) {
+    scratch.clear();
+    scratch.extend_from_slice(key);
+    scratch.extend_from_slice(value);
+    let mut key_view = Bytes::copy_from_slice(scratch);
+    let value_view = key_view.split_off(key.len());
+    (key_view, value_view)
+}
+
+/// One empty memtable per shard.
+fn empty_parts(shards: usize) -> Vec<Memtable> {
+    (0..shards.max(1)).map(|_| Memtable::new()).collect()
+}
+
+/// Inserts one pair into its shard's map (recovery, before the shards
+/// are locked; `scratch` as for [`pair`]). Pairs arriving in key order
+/// per table take the map's append path.
+fn put_routed(
+    parts: &mut [Memtable],
+    scratch: &mut Vec<u8>,
+    table: TableId,
+    key: &[u8],
+    value: &[u8],
+) {
+    let s = route(parts.len(), table, key);
+    if let Some(part) = parts.get_mut(s) {
+        let (key, value) = pair(scratch, key, value);
+        part.entry(table).or_default().insert(key, value);
+    }
 }
 
 /// Builds a WAL frame payload from a pre-serialized op list. `WalEntry`
@@ -434,30 +492,60 @@ pub(crate) fn tables_union_of<'g>(parts: impl Iterator<Item = &'g Memtable>) -> 
 /// Streams one table's pairs from a set of shard guards in ascending key
 /// order — a k-way merge over the per-shard ordered maps, so nothing is
 /// materialized (each shard holds disjoint keys, so ties cannot occur).
+/// Heads carry their keys' inline prefixes ([`cow::Range::next_prefixed`]),
+/// so comparing two heads dereferences their keys only on a prefix tie.
+/// After a full comparison the winning shard keeps emitting, one
+/// comparison per pair, while it stays below the runner-up head: the
+/// router keeps runs of consecutive ids in one shard (see [`route`]).
 pub(crate) struct MergedTableIter<'g> {
     iters: Vec<cow::Range<'g>>,
-    heads: Vec<Option<(&'g Bytes, &'g Bytes)>>,
+    heads: Vec<Option<cow::Prefixed<'g>>>,
+    /// The last full comparison's winner and the runner-up key it may
+    /// emit up to (`None`: no other shard has pairs left).
+    run: Option<(usize, Option<(u64, &'g Bytes)>)>,
+}
+
+/// `a < b` in key order, for `(prefix, key)` pairs.
+fn key_lt(a: (u64, &Bytes), b: (u64, &Bytes)) -> bool {
+    a.0.cmp(&b.0).then_with(|| a.1.cmp(b.1)).is_lt()
 }
 
 impl<'g> Iterator for MergedTableIter<'g> {
     type Item = (&'g Bytes, &'g Bytes);
 
     fn next(&mut self) -> Option<Self::Item> {
-        // Carry the best key alongside its index so the comparison never
-        // has to re-index (and re-unwrap) `heads`.
-        let mut best: Option<(usize, &'g Bytes)> = None;
-        for (i, head) in self.heads.iter().enumerate() {
-            if let Some((k, _)) = head {
-                match best {
-                    Some((_, bk)) if bk <= *k => {}
-                    _ => best = Some((i, *k)),
+        let in_run = self.run.filter(|&(i, bound)| {
+            let head = self.heads.get(i).copied().flatten();
+            head.is_some_and(|(p, k, _)| bound.is_none_or(|b| key_lt((p, k), b)))
+        });
+        let i = match in_run {
+            Some((i, _)) => i,
+            None => {
+                // Full comparison: the smallest head and the runner-up.
+                let mut best: Option<(usize, u64, &'g Bytes)> = None;
+                let mut second: Option<(u64, &'g Bytes)> = None;
+                for (i, head) in self.heads.iter().enumerate() {
+                    let Some((p, k, _)) = *head else { continue };
+                    match best {
+                        Some((_, bp, bk)) if key_lt((bp, bk), (p, k)) => {
+                            if second.is_none_or(|s| key_lt((p, k), s)) {
+                                second = Some((p, k));
+                            }
+                        }
+                        _ => {
+                            second = best.map(|(_, bp, bk)| (bp, bk));
+                            best = Some((i, p, k));
+                        }
+                    }
                 }
+                let (i, ..) = best?;
+                self.run = Some((i, second));
+                i
             }
-        }
-        let (i, _) = best?;
+        };
         let item = self.heads[i].take();
-        self.heads[i] = self.iters[i].next();
-        item
+        self.heads[i] = self.iters[i].next_prefixed();
+        item.map(|(_, k, v)| (k, v))
     }
 }
 
@@ -475,8 +563,12 @@ pub(crate) fn merged_parts<'g>(
         .filter_map(|p| p.get(&table))
         .map(|t| t.range(from, to))
         .collect();
-    let heads = iters.iter_mut().map(|it| it.next()).collect();
-    MergedTableIter { iters, heads }
+    let heads = iters.iter_mut().map(|it| it.next_prefixed()).collect();
+    MergedTableIter {
+        iters,
+        heads,
+        run: None,
+    }
 }
 
 /// Merged in-order view of `table` over `guards`, bounded to
@@ -515,7 +607,7 @@ impl Store {
                 checkpoint_every: 0,
                 ..opts
             },
-            Memtable::new(),
+            empty_parts(opts.shards),
             None,
             None,
             0,
@@ -535,17 +627,17 @@ impl Store {
         crate::faults::init_env();
         std::fs::create_dir_all(dir)?;
 
-        let mut tables = Memtable::new();
-        let mut last_lsn = 0u64;
-        if let Some(snap) = snapshot::read(&snapshot_path(dir))? {
-            last_lsn = snap.last_lsn;
-            for dump in snap.tables {
-                let table = tables.entry(dump.table).or_default();
-                for (k, v) in dump.entries {
-                    table.insert(Bytes::from(k), Bytes::from(v));
-                }
-            }
-        }
+        // Every pair goes straight into its shard's map, copied once out
+        // of the snapshot file's bytes; a checkpoint lists each table in
+        // key order, so every shard map is loaded by appends.
+        let mut parts = empty_parts(opts.shards);
+        let mut scratch = Vec::new();
+        let mut table = TableId(0);
+        let snap = snapshot::read_with(&snapshot_path(dir), |item| match item {
+            snapshot::Item::Table(t) => table = t,
+            snapshot::Item::Pair(k, v) => put_routed(&mut parts, &mut scratch, table, k, v),
+        })?;
+        let mut last_lsn = snap.unwrap_or(0);
 
         let scan = wal::scan(&wal_path(dir))?;
         let mut recovered = 0u64;
@@ -556,7 +648,7 @@ impl Store {
                 continue; // already folded into the snapshot
             }
             last_lsn = entry.lsn;
-            apply_ops(&mut tables, entry.ops);
+            apply_ops(&mut parts, &mut scratch, entry.ops);
             recovered += 1;
         }
 
@@ -567,7 +659,7 @@ impl Store {
 
         Ok(Store::assemble(
             opts,
-            tables,
+            parts,
             Some(wal),
             Some(dir.to_path_buf()),
             last_lsn,
@@ -576,29 +668,26 @@ impl Store {
         ))
     }
 
-    // lint: allow(panic-path)
+    /// Builds the store around its already-routed shard contents
+    /// (`parts`, one memtable per shard, as [`empty_parts`] makes them).
     fn assemble(
         opts: StoreOptions,
-        initial: Memtable,
+        parts: Vec<Memtable>,
         wal: Option<wal::Wal>,
         dir: Option<PathBuf>,
         last_lsn: u64,
         recovered_entries: u64,
         recovered_torn_tail: bool,
     ) -> Self {
-        let n = opts.shards.max(1);
-        let mut parts: Vec<Memtable> = (0..n).map(|_| Memtable::new()).collect();
+        let n = parts.len();
         let mut presence: crate::codec::FxHashMap<TableId, u128> = Default::default();
-        for (table, entries) in initial {
-            for (k, v) in entries.iter() {
-                let s = route(n, table, k);
-                if n <= 128 {
-                    *presence.entry(table).or_insert(0) |= 1u128 << s;
+        if n <= 128 {
+            for (s, part) in parts.iter().enumerate() {
+                for (table, map) in part {
+                    if map.len() > 0 {
+                        *presence.entry(*table).or_insert(0) |= 1u128 << s;
+                    }
                 }
-                parts[s]
-                    .entry(table)
-                    .or_default()
-                    .insert(k.clone(), v.clone());
             }
         }
         let cache_enabled = opts.entity_cache && !env_disables_cache();
@@ -760,6 +849,20 @@ impl Store {
         if batch.is_empty() {
             return Ok(());
         }
+        // A stored pair is two views of one buffer, each addressed by
+        // `u32` offsets (see `bytes::Bytes`); refuse what cannot be held
+        // before anything is logged.
+        if let Some(len) = batch.ops.iter().find_map(|op| match op {
+            Op::Put { key, value, .. } => {
+                Some(key.len() + value.len()).filter(|&len| u32::try_from(len).is_err())
+            }
+            Op::Delete { .. } => None,
+        }) {
+            return Err(StoreError::Codec(format!(
+                "a {len}-byte key and value exceed the {}-byte pair limit",
+                u32::MAX
+            )));
+        }
         // Serialize the ops before taking the commit mutex — only the
         // tiny LSN prefix is built under the lock (see `frame_payload`).
         let ops_bytes = if self.opts.durability != Durability::InMemory {
@@ -875,8 +978,7 @@ impl Store {
 
     /// Group-leader work: append + flush/fsync all frames per the sync
     /// policy, apply in LSN order, bump counters, maybe auto-checkpoint.
-    /// Consumes each pending batch's ops (they are applied by value, so
-    /// keys and values move into the memtable without another copy).
+    /// Consumes each pending batch's ops (see [`Store::apply_batch`]).
     // lint: allow(panic-path)
     fn lead_group(&self, group: &mut [Pending]) -> LeadOutcome {
         let mut log = self.log_mu.lock();
@@ -994,7 +1096,8 @@ impl Store {
 
     /// Applies one batch while holding the write locks of every shard it
     /// touches, so concurrent readers see all of the batch or none of it.
-    /// Ops are consumed: keys and values move straight into the memtable.
+    /// Each put is stored as one buffer holding its key and value (see
+    /// [`pair`]): one allocation, the op's own vectors freed.
     /// Write-through hints install decoded entities into the cache under
     /// the same locks; unhinted puts and deletes invalidate. The batch's
     /// LSN is published as the store epoch before the write locks drop,
@@ -1041,6 +1144,7 @@ impl Store {
         };
         let mut hints = hints.into_iter().peekable();
         let mut copied = 0;
+        let mut scratch = Vec::new();
         for (idx, (op, &s)) in ops.into_iter().zip(routes.iter()).enumerate() {
             let hint = match hints.peek() {
                 Some((h, _)) if *h as usize == idx => hints.next().map(|(_, d)| d),
@@ -1048,10 +1152,9 @@ impl Store {
             };
             match op {
                 Op::Put { table, key, value } => {
-                    let key = Bytes::from(key);
-                    let value = Bytes::from(value);
+                    let (key, value) = pair(&mut scratch, &key, &value);
                     if self.cache_enabled && (hint.is_some() || cache_tables.contains(&table)) {
-                        self.cache_apply(s, table, &key, Some(&value), hint);
+                        self.cache_apply(s, table, &key, &value, hint);
                     }
                     // The guard set is computed from the same `routes`
                     // this loop indexes with, so the slot is always
@@ -1067,7 +1170,7 @@ impl Store {
                 }
                 Op::Delete { table, key } => {
                     if self.cache_enabled && cache_tables.contains(&table) {
-                        self.cache_apply(s, table, &key, None, None);
+                        self.cache_remove(s, table, &key);
                     }
                     // Same invariant as the put arm above.
                     // lint: allow(store-unwrap)
@@ -1101,45 +1204,51 @@ impl Store {
         }
     }
 
-    /// Cache side of applying one op (shard write lock already held, so
-    /// readers of the shard cannot interleave). `value = None` ⇒ delete.
+    /// Cache side of applying one put (shard write lock already held, so
+    /// readers of the shard cannot interleave). `key` and `value` are the
+    /// memtable's own handles: a hinted put stores them, so the slot
+    /// shares the pair's buffer instead of copying the key. The slot is
+    /// replaced whole, key included, so it never holds an overwritten
+    /// pair's buffer alive.
     // lint: allow(panic-path)
     fn cache_apply(
         &self,
         shard: usize,
         table: TableId,
-        key: &[u8],
-        value: Option<&Bytes>,
+        key: &Bytes,
+        value: &Bytes,
         hint: Option<CachedEntity>,
     ) {
-        match (value, hint) {
-            (Some(v), Some(decoded)) => {
-                self.note_cached_table(table);
-                let mut cshard = self.cache[shard].write();
-                let m = cshard.entry(table).or_default();
-                if m.len() >= self.cache_capacity {
-                    m.clear();
-                }
-                m.insert(
-                    Bytes::copy_from_slice(key),
-                    CacheSlot {
-                        value: v.clone(),
-                        decoded,
-                    },
-                );
-            }
-            _ => {
-                // Unhinted put or delete: drop any stale decode. Take the
-                // cheap read-check first — most tables are never cached.
-                let stale = self.cache[shard]
-                    .read()
-                    .get(&table)
-                    .is_some_and(|m| m.contains_key(key));
-                if stale {
-                    if let Some(m) = self.cache[shard].write().get_mut(&table) {
-                        m.remove(key);
-                    }
-                }
+        let Some(decoded) = hint else {
+            self.cache_remove(shard, table, key);
+            return;
+        };
+        self.note_cached_table(table);
+        let mut cshard = self.cache[shard].write();
+        let m = cshard.entry(table).or_default();
+        if m.remove(&key[..]).is_none() && m.len() >= self.cache_capacity {
+            m.clear();
+        }
+        m.insert(
+            key.clone(),
+            CacheSlot {
+                value: value.clone(),
+                decoded,
+            },
+        );
+    }
+
+    /// Drops any cached decode of `key` (an unhinted put or a delete).
+    /// Takes the cheap read-check first — most tables are never cached.
+    // lint: allow(panic-path)
+    fn cache_remove(&self, shard: usize, table: TableId, key: &[u8]) {
+        let stale = self.cache[shard]
+            .read()
+            .get(&table)
+            .is_some_and(|m| m.contains_key(key));
+        if stale {
+            if let Some(m) = self.cache[shard].write().get_mut(&table) {
+                m.remove(key);
             }
         }
     }
@@ -1158,12 +1267,17 @@ impl Store {
             return None;
         }
         let shard = self.shard_of(table, key);
-        // Empty buffers may share a dangling pointer, so they are never
-        // treated as cache-valid (no real entity encodes to zero bytes).
+        // The slot is current iff it views exactly the stored bytes: the
+        // same start and the same length (a pair's key and value share one
+        // buffer, so a start alone names a buffer position, not a view).
+        // Empty views are never treated as cache-valid (no real entity
+        // encodes to zero bytes).
         let hit = self.cache[shard].read().get(&table).and_then(|m| {
             m.get(key).and_then(|slot| {
-                (!bytes.is_empty() && slot.value.as_ptr() == bytes.as_ptr())
-                    .then(|| CachedEntity::clone(&slot.decoded))
+                (!bytes.is_empty()
+                    && slot.value.as_ptr() == bytes.as_ptr()
+                    && slot.value.len() == bytes.len())
+                .then(|| CachedEntity::clone(&slot.decoded))
             })
         });
         match hit {
@@ -1486,19 +1600,16 @@ impl Store {
     }
 }
 
-/// Recovery-time apply onto the single pre-shard memtable (no cache, no
-/// presence — [`Store::assemble`] derives both from the final contents).
-fn apply_ops(tables: &mut Memtable, ops: Vec<Op>) {
+/// Recovery-time apply onto the shard memtables before the store is
+/// assembled (no cache, no presence — [`Store::assemble`] derives the
+/// presence masks from the final contents).
+fn apply_ops(parts: &mut [Memtable], scratch: &mut Vec<u8>, ops: Vec<Op>) {
     for op in ops {
         match op {
-            Op::Put { table, key, value } => {
-                tables
-                    .entry(table)
-                    .or_default()
-                    .insert(Bytes::from(key), Bytes::from(value));
-            }
+            Op::Put { table, key, value } => put_routed(parts, scratch, table, &key, &value),
             Op::Delete { table, key } => {
-                if let Some(t) = tables.get_mut(&table) {
+                let s = route(parts.len(), table, &key);
+                if let Some(t) = parts.get_mut(s).and_then(|p| p.get_mut(&table)) {
                     t.remove(key.as_slice());
                 }
             }
@@ -1847,6 +1958,111 @@ mod tests {
         assert_eq!(s.count(T1), 50);
         assert_eq!(s.last_key(T1).unwrap().as_ref(), &[49u8]);
         assert_eq!(s.scan_all(T1).len(), 50);
+    }
+
+    /// Sequential big-endian `u64` keys of one table (post ids, say)
+    /// reach every shard, and spread evenly in runs of 16.
+    #[test]
+    fn sequential_u64_keys_reach_every_shard() {
+        for shards in [2usize, 8, 16] {
+            let mut per_shard = vec![0usize; shards];
+            for i in 0..10_000u64 {
+                per_shard[route(shards, T1, &i.to_be_bytes())] += 1;
+            }
+            let fair = 10_000 / shards;
+            assert!(
+                per_shard.iter().all(|&n| n > fair / 2 && n < fair * 2),
+                "{shards} shards got {per_shard:?}"
+            );
+        }
+    }
+
+    /// Merged scans over shards that hold runs of consecutive ids and
+    /// scattered keys of other lengths agree with one ordered map, for
+    /// every range.
+    #[test]
+    fn merged_scans_match_an_ordered_map() {
+        let s = Store::in_memory_sharded(8);
+        let mut model = BTreeMap::new();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut rand = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut b = WriteBatch::new();
+        for i in 0..3_000u64 {
+            let key = match rand() % 3 {
+                0 => i.to_be_bytes().to_vec(),
+                1 => (rand() % 5_000).to_be_bytes().to_vec(),
+                _ => (rand() as u32 % 70_000).to_be_bytes()[1..].to_vec(),
+            };
+            b.put(T1, key.clone(), vec![i as u8]);
+            model.insert(key, vec![i as u8]);
+        }
+        s.commit(b).unwrap();
+        let all: Vec<_> = model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+        let got: Vec<_> = s
+            .scan_all(T1)
+            .into_iter()
+            .map(|(k, v)| (k.to_vec(), v.to_vec()))
+            .collect();
+        assert_eq!(got, all);
+        for _ in 0..200 {
+            let from = (rand() % 6_000).to_be_bytes();
+            let to = (u64::from_be_bytes(from) + rand() % 300).to_be_bytes();
+            let expect: Vec<_> = model
+                .range(from.to_vec()..to.to_vec())
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect();
+            let got: Vec<_> = s
+                .scan_range(T1, &from, Some(&to))
+                .into_iter()
+                .map(|(k, v)| (k.to_vec(), v.to_vec()))
+                .collect();
+            assert_eq!(got, expect);
+        }
+    }
+
+    /// The router decides only where a pair lives in memory: a
+    /// checkpoint written under any shard count is byte-identical, and
+    /// reopens under any other with the same checksum.
+    #[test]
+    fn checkpoint_bytes_do_not_depend_on_the_shard_count() {
+        let mut images = Vec::new();
+        let mut digests = Vec::new();
+        for shards in [1usize, 3, 8] {
+            let dir = TestDir::new("ckpt-shards");
+            let opts = StoreOptions {
+                shards,
+                ..StoreOptions::default()
+            };
+            let s = Store::open(dir.path(), opts.clone()).unwrap();
+            for i in 0..2_000u64 {
+                let mut b = WriteBatch::new();
+                b.put(T1, i.to_be_bytes().to_vec(), vec![i as u8; 5]);
+                b.put(T2, (i as u32 * 7).to_be_bytes().to_vec(), vec![1]);
+                s.commit(b).unwrap();
+            }
+            s.delete(T1, 17u64.to_be_bytes().to_vec()).unwrap();
+            s.checkpoint().unwrap();
+            digests.push(s.content_checksum());
+            drop(s);
+            images.push(std::fs::read(snapshot_path(dir.path())).unwrap());
+            let reopened = Store::open(
+                dir.path(),
+                StoreOptions {
+                    shards: 5,
+                    ..StoreOptions::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(reopened.content_checksum(), digests[0]);
+            assert_eq!(reopened.count(T1), 1_999);
+        }
+        assert!(images.windows(2).all(|w| w[0] == w[1]));
+        assert!(digests.windows(2).all(|w| w[0] == w[1]));
     }
 
     #[test]
@@ -2199,6 +2415,24 @@ mod tests {
         let bytes3 = s.get(T1, b"k").unwrap().unwrap();
         let hit = s.cache_lookup(T1, b"k", &bytes3).unwrap();
         assert_eq!(*hit.downcast::<u32>().unwrap(), 43);
+
+        // A write-through overwrite replaces the cached pair whole: the
+        // slot's key and value are the memtable's new views, so the
+        // overwritten pair's buffer is not kept alive by the cache.
+        let mut b = WriteBatch::new();
+        b.put_cached(T1, b"k".to_vec(), b"v4".to_vec(), Arc::new(44u32));
+        s.commit(b).unwrap();
+        let (key, value) = s.scan_all(T1).pop().unwrap();
+        assert_eq!(key.as_ptr().wrapping_add(key.len()), value.as_ptr());
+        {
+            let cache = s.cache[s.shard_of(T1, b"k")].read();
+            let (slot_key, slot) = cache[&T1].get_key_value(&b"k"[..]).unwrap();
+            assert_eq!(slot_key.as_ptr(), key.as_ptr());
+            assert_eq!(slot.value.as_ptr(), value.as_ptr());
+        }
+        // A view with the cached start but another length is not a hit.
+        let short = value.slice(..1);
+        assert!(s.cache_lookup(T1, b"k", &short).is_none());
 
         // Deletes invalidate too.
         s.delete(T1, b"k".to_vec()).unwrap();

@@ -194,9 +194,19 @@ impl SnapshotWriter {
     }
 }
 
-/// Reads a snapshot if one exists. `Ok(None)` means a fresh database.
-// lint: allow(panic-path)
-pub fn read(path: &Path) -> Result<Option<Snapshot>> {
+/// One item of a snapshot, in file order: each table, then its pairs in
+/// key order.
+pub enum Item<'a> {
+    Table(TableId),
+    Pair(&'a [u8], &'a [u8]),
+}
+
+/// Streams a snapshot, if one exists, through `visit` straight from the
+/// file's bytes, so a reader that keeps the pairs copies each one once.
+/// Returns the snapshot's `last_lsn`; `Ok(None)` means a fresh database.
+/// The payload is checksummed before `visit` sees any of it, and it is
+/// parsed with serbin's layout for [`Snapshot`] (see [`SnapshotWriter`]).
+pub fn read_with(path: &Path, mut visit: impl FnMut(Item<'_>)) -> Result<Option<u64>> {
     let mut file = match std::fs::File::open(path) {
         Ok(f) => f,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
@@ -208,23 +218,84 @@ pub fn read(path: &Path) -> Result<Option<Snapshot>> {
     let mut data = Vec::new();
     file.read_to_end(&mut data)?;
 
-    let header = SNAPSHOT_MAGIC.len() + 4 + 8;
-    if data.len() < header {
+    if data.len() < SNAPSHOT_MAGIC.len() + 4 + 8 {
         return Err(StoreError::Corrupt("snapshot shorter than header".into()));
     }
-    if data[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
+    if data.get(..SNAPSHOT_MAGIC.len()) != Some(&SNAPSHOT_MAGIC[..]) {
         return Err(StoreError::Corrupt("bad snapshot magic".into()));
     }
     let corrupt_header = || StoreError::Corrupt("snapshot header unreadable".into());
-    let crc = crate::codec::read_le_u32(&data[8..12]).ok_or_else(corrupt_header)?;
-    let len = crate::codec::read_le_u64(&data[12..20]).ok_or_else(corrupt_header)? as usize;
-    let payload = data
-        .get(header..header + len)
+    let crc = data
+        .get(8..)
+        .and_then(crate::codec::read_le_u32)
+        .ok_or_else(corrupt_header)?;
+    let len = data
+        .get(12..)
+        .and_then(crate::codec::read_le_u64)
+        .ok_or_else(corrupt_header)?;
+    let mut rest = usize::try_from(len)
+        .ok()
+        .and_then(|len| data.get(20..)?.get(..len))
         .ok_or_else(|| StoreError::Corrupt("snapshot payload truncated".into()))?;
-    if crc32(payload) != crc {
+    if crc32(rest) != crc {
         return Err(StoreError::Corrupt("snapshot checksum mismatch".into()));
     }
-    Ok(Some(serbin::from_bytes(payload)?))
+
+    let last_lsn = take_varint(&mut rest)?;
+    for _ in 0..take_varint(&mut rest)? {
+        let table = u16::try_from(take_varint(&mut rest)?)
+            .map_err(|_| StoreError::Corrupt("snapshot table id out of range".into()))?;
+        visit(Item::Table(TableId(table)));
+        for _ in 0..take_varint(&mut rest)? {
+            let key = take_bytes(&mut rest)?;
+            let value = take_bytes(&mut rest)?;
+            visit(Item::Pair(key, value));
+        }
+    }
+    if !rest.is_empty() {
+        return Err(StoreError::Corrupt(format!(
+            "{} trailing bytes after the snapshot payload",
+            rest.len()
+        )));
+    }
+    Ok(Some(last_lsn))
+}
+
+/// Consumes one varint from the front of `rest`.
+fn take_varint(rest: &mut &[u8]) -> Result<u64> {
+    let (v, tail) = crate::codec::read_uvarint(rest)
+        .ok_or_else(|| StoreError::Corrupt("snapshot payload truncated".into()))?;
+    *rest = tail;
+    Ok(v)
+}
+
+/// Consumes one length-prefixed byte string from the front of `rest`.
+fn take_bytes<'a>(rest: &mut &'a [u8]) -> Result<&'a [u8]> {
+    let len = take_varint(rest)?;
+    let (bytes, tail) = usize::try_from(len)
+        .ok()
+        .and_then(|len| rest.split_at_checked(len))
+        .ok_or_else(|| StoreError::Corrupt("snapshot payload truncated".into()))?;
+    *rest = tail;
+    Ok(bytes)
+}
+
+/// Reads a whole snapshot if one exists. `Ok(None)` means a fresh
+/// database.
+pub fn read(path: &Path) -> Result<Option<Snapshot>> {
+    let mut tables: Vec<TableDump> = Vec::new();
+    let last_lsn = read_with(path, |item| match item {
+        Item::Table(table) => tables.push(TableDump {
+            table,
+            entries: Vec::new(),
+        }),
+        Item::Pair(k, v) => {
+            if let Some(dump) = tables.last_mut() {
+                dump.entries.push((k.to_vec(), v.to_vec()));
+            }
+        }
+    })?;
+    Ok(last_lsn.map(|last_lsn| Snapshot { last_lsn, tables }))
 }
 
 #[cfg(test)]
@@ -307,6 +378,36 @@ mod tests {
         assert!(w.finish().is_err());
         // A failed stream never installs over the target path.
         assert!(read(&path).unwrap().is_none());
+    }
+
+    /// A payload whose checksum matches but whose layout is broken (a
+    /// writer bug, not a torn write) is `Corrupt`, never a panic.
+    #[test]
+    fn malformed_payload_with_a_valid_checksum_is_corrupt() {
+        let dir = TestDir::new("snap-malformed");
+        let path = dir.path().join("db.snp");
+        let valid = serbin::to_bytes(&sample()).unwrap();
+        let mut short_table = Vec::new();
+        for v in [1u64, 1, 5, 3, 2] {
+            write_uvarint(&mut short_table, v);
+        }
+        let mut trailing = valid.clone();
+        trailing.push(0);
+        let mut huge_table_id = Vec::new();
+        for v in [1u64, 1, 1 << 20, 0] {
+            write_uvarint(&mut huge_table_id, v);
+        }
+        for payload in [short_table, trailing, huge_table_id, vec![0x80]] {
+            let mut file = SNAPSHOT_MAGIC.to_vec();
+            file.extend(crc32(&payload).to_le_bytes());
+            file.extend((payload.len() as u64).to_le_bytes());
+            file.extend(&payload);
+            std::fs::write(&path, &file).unwrap();
+            assert!(
+                matches!(read(&path), Err(StoreError::Corrupt(_))),
+                "payload {payload:?}"
+            );
+        }
     }
 
     #[test]

@@ -184,6 +184,25 @@ impl<E: Entity> TypedTable<E> {
         Ok(())
     }
 
+    /// [`TypedTable::stage_upsert`] for bulk loads: encodes key and
+    /// value into `scratch` (cleared first, reused across calls), so the
+    /// batch gets two exact-size copies and the encoder never regrows a
+    /// fresh buffer.
+    pub fn stage_upsert_with(
+        &self,
+        batch: &mut WriteBatch,
+        entity: &E,
+        scratch: &mut Vec<u8>,
+    ) -> Result<()> {
+        scratch.clear();
+        entity.primary_key().encode_into(scratch);
+        let key_len = scratch.len();
+        serbin::to_writer(scratch, entity)?;
+        let (key, value) = scratch.split_at(key_len);
+        batch.put(E::TABLE, key.to_vec(), value.to_vec());
+        Ok(())
+    }
+
     /// Like [`TypedTable::stage_upsert`], but also hands the store a clone
     /// of the decoded entity so the commit writes it through into the
     /// entity cache — the next `get` of this key costs no decode. Use on
@@ -352,6 +371,31 @@ impl<E: Entity> TypedTable<E> {
         match decode_err {
             Some(e) => Err(e.into()),
             None => Ok(()),
+        }
+    }
+
+    /// Primary keys in `[from, to)` (`None` = unbounded), in key order,
+    /// from one range scan that decodes no record.
+    pub fn keys_in_range(&self, from: &E::Key, to: Option<&E::Key>) -> Result<Vec<E::Key>> {
+        let to_enc = to.map(|k| k.encoded());
+        let mut keys = Vec::new();
+        let mut decode_err = None;
+        self.store
+            .for_each_range(E::TABLE, &from.encoded(), to_enc.as_deref(), |k, _| {
+                match E::Key::decode(k) {
+                    Ok(key) => {
+                        keys.push(key);
+                        true
+                    }
+                    Err(e) => {
+                        decode_err = Some(e);
+                        false
+                    }
+                }
+            });
+        match decode_err {
+            Some(e) => Err(e),
+            None => Ok(keys),
         }
     }
 

@@ -73,7 +73,6 @@ fn panic_path_waivers_are_pinned() {
         ("crates/store/src/codec.rs", 2),
         ("crates/store/src/db.rs", 8),
         ("crates/store/src/faults.rs", 2),
-        ("crates/store/src/snapshot.rs", 1),
         ("crates/store/src/wal.rs", 1),
         ("crates/strategy/src/fc.rs", 1),
     ]
