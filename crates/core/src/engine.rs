@@ -9,12 +9,14 @@
 //! algorithm path the figures sweep.
 
 use crate::config::{EngineConfig, EnvOverrides, ReputationMode, StorageConfig};
-use crate::monitor::{MonitorSnapshot, ResourceDetail, ResourceRow};
+use crate::monitor::{MonitorSnapshot, ResourceDetail};
 use crate::notify::{Notification, NotificationQueue};
 use crate::project::{ProjectRecord, ProjectSpec, ProjectState};
 use crate::quality_mgr::{ProjectQuality, QualityManager};
 use crate::records::{DatasetRecord, UserRole};
 use crate::resource_mgr::ResourceManager;
+use crate::shared::Series;
+use crate::snapshot::EngineSnapshot;
 use crate::tag_mgr::TagManager;
 use crate::user_mgr::{DecisionDeltas, ReputationLedger, ReputationSnapshot, UserManager};
 use crate::{EngineError, Result};
@@ -77,7 +79,7 @@ struct ProjectRuntime {
     strategy: SwitchableStrategy,
     strategy_initialized: bool,
     platform: Box<dyn CrowdPlatform + Send>,
-    /// Tasks published but not yet decided (drained by `collect_once`).
+    /// Tasks published but not yet decided (drained by `collect_step`).
     pending: FxHashSet<u64>,
     ledger: Ledger,
     approval: ApprovalPolicy,
@@ -85,7 +87,7 @@ struct ProjectRuntime {
     budget_total: u32,
     budget_spent: u32,
     state: ProjectState,
-    series: Vec<BudgetPoint>,
+    series: Series<BudgetPoint>,
     initial_quality: f64,
     last_milestone: f64,
     tasks_approved: u64,
@@ -152,12 +154,11 @@ struct MergeJob {
 enum RoundResult {
     /// The tick itself failed; nothing was staged or committed.
     TickFailed(EngineError),
-    /// The merge ran: the committed summary plus the round's
-    /// notifications, or the merge/staging error (no notifications then).
-    Merged(Result<RunSummary>, Vec<Notification>),
-    /// The project's frame was folded into a pending cross-project group
-    /// commit; its outcome lands in [`GroupCommit::outcomes`] when the
-    /// group flushes and is resolved in `run_all_with`'s assembly loop.
+    /// Staging the project's frame failed; none of it was committed.
+    StageFailed(EngineError),
+    /// The project's frame joined a group commit; its outcome lands in
+    /// [`GroupCommit::outcomes`] when the group flushes and is resolved in
+    /// `round`'s assembly loop.
     Deferred,
 }
 
@@ -227,7 +228,7 @@ fn stage_project_effects(
     }
     let mut rounds: Vec<(u32, ResourceRound)> = touched.into_iter().collect();
     rounds.sort_unstable_by_key(|(rid, _)| *rid);
-    for (rid, agg) in rounds {
+    for (_, agg) in rounds {
         let mut record = (*agg.orig).clone();
         let old_posts = record.posts;
         record.posts += agg.approved;
@@ -235,7 +236,6 @@ fn stage_project_effects(
             record.posts, agg.last_posts,
             "record count and live count must agree"
         );
-        let _ = rid;
         record.quality = agg.last_quality;
         resources.stage_finalize_posts(&mut batch, old_posts, record)?;
     }
@@ -282,13 +282,11 @@ struct GroupMember {
 /// effects batch, the per-worker reputation deltas, and the project row.
 /// The project row rides in the same frame as the round's effects:
 /// budget/state can never run ahead of (or behind) the posts they paid
-/// for. Shared by both commit schedules — per-project frames and the
-/// cross-project group commit stage byte-identical ops through this one
-/// function, so the two paths cannot drift.
+/// for.
 ///
 /// On error the staged-record overlay may hold this project's partial
-/// records; both callers clear (or flush-then-clear) it before the next
-/// read.
+/// records; [`merge_into_group`] flushes the group, which clears it,
+/// before the next read.
 fn stage_member_frame(
     users: &UserManager,
     projects: &TypedTable<ProjectRecord>,
@@ -328,55 +326,17 @@ fn stage_member_frame(
     ))
 }
 
-/// The serial half of one project's round under the per-project commit
-/// schedule (`commit_batch <= 1`): stage the complete frame, commit it,
-/// and hand back the round's notifications. Runs in project-id order —
-/// on the dedicated merger thread when the round pipeline is on, on the
-/// calling thread otherwise — so the stored bytes are identical either
-/// way. Once (and only once) the frame has committed, the same deltas
-/// are applied to the incremental reputation ledger, so the ledger can
-/// never run ahead of the durable tagger table — a failed merge leaves
-/// both untouched.
-fn merge_ticked_project(
-    users: &UserManager,
-    projects: &TypedTable<ProjectRecord>,
-    store: &Store,
-    ledger: Option<&ReputationLedger>,
-    job: MergeJob,
-    deltas: DecisionDeltas,
-    batch: Result<WriteBatch>,
-) -> (Result<RunSummary>, Vec<Notification>) {
-    let merged =
-        stage_member_frame(users, projects, job, deltas, batch).and_then(|(batch, member)| {
-            store.commit(batch)?;
-            Ok(member)
-        });
-    // The staged-record overlay only has to outlive the batch. Clearing
-    // on the failure path matters just as much: records staged into a
-    // batch that never committed must not keep answering reads.
-    users.clear_staged();
-    match merged {
-        Ok(m) => {
-            if let Some(ledger) = ledger {
-                ledger.apply(&m.deltas);
-            }
-            (Ok(m.summary), m.notifications)
-        }
-        Err(e) => (Err(e), Vec::new()),
-    }
-}
-
-/// Accumulator of the cross-project group commit (`commit_batch >= 2`):
-/// the merger folds consecutive projects' frames into one [`WriteBatch`]
-/// and commits them as **one** WAL frame + fsync. Ops are appended in
-/// project-id order (the merge phase's calling order), so the applied
-/// key/value sequence — and therefore every stored byte — is identical
-/// to the per-project schedule; only the WAL framing (k projects per
-/// LSN) differs. The staged-record overlay is *not* cleared between
-/// members: a later member's delta staging must read the earlier
-/// members' still-uncommitted user rows (read-your-own-writes), exactly
-/// as it would have read them post-commit under the per-project
-/// schedule.
+/// Accumulator of the group commit: the merger folds consecutive
+/// projects' frames into one [`WriteBatch`] and commits up to
+/// `commit_batch` of them as **one** WAL frame + fsync (a group of one is
+/// a project's own frame, byte for byte). Ops are appended in project-id
+/// order (the merge phase's calling order), so the applied key/value
+/// sequence — and therefore every stored byte — is the same at every
+/// budget; only the WAL framing (k projects per LSN) differs. The
+/// staged-record overlay is *not* cleared between members: a later
+/// member's delta staging must read the earlier members' still-uncommitted
+/// user rows (read-your-own-writes), exactly as it would have read them
+/// post-commit in a smaller group.
 #[derive(Default)]
 struct GroupCommit {
     batch: WriteBatch,
@@ -416,7 +376,7 @@ fn merge_into_group(
         }
         Err(e) => {
             flush_group(users, store, ledger, group);
-            RoundResult::Merged(Err(e), Vec::new())
+            RoundResult::StageFailed(e)
         }
     }
 }
@@ -424,10 +384,10 @@ fn merge_into_group(
 /// Commits the pending group as one frame and resolves every member's
 /// outcome. On success each member's deltas are applied to the ledger in
 /// member (project-id) order — deltas commute, so the folded counters
-/// match the per-project schedule exactly. On a commit error the whole
-/// frame is gone: the first member carries the root cause, the rest a
-/// derived broken-commit error (storage faults either way, so the server
-/// degrades exactly as it would for a failed per-project commit).
+/// are the same at every budget. On a commit error the whole frame is
+/// gone: the first member carries the root cause, the rest a derived
+/// broken-commit error (storage faults either way, so the server degrades
+/// exactly as it would for a group of one).
 fn flush_group(
     users: &UserManager,
     store: &Store,
@@ -470,171 +430,224 @@ fn flush_group(
 
 // lint: end determinism
 
-/// Runs the full Algorithm-1 loop for one project using only project-local
-/// state plus the round-start [`ReputationSnapshot`], buffering every
-/// effect that touches shared tables. Mirrors [`ITagEngine::run`] step for
-/// step; the merge in [`ITagEngine::run_all_with`] replays the buffers in
-/// project-id order, so the stored bytes are identical across thread
-/// counts. Reading reputation from the snapshot (never the live tables)
-/// is what lets the merger commit earlier projects while this tick is
-/// still running without breaking that contract.
-fn tick_campaign(
-    rt: &mut ProjectRuntime,
-    config: &EngineConfig,
-    rep: &ReputationSnapshot,
-    max_tasks: u32,
-) -> Result<ProjectOutcome> {
-    let mut decisions = Vec::new();
-    let mut notifications = Vec::new();
-    // (approved, rejected) per worker in this round, layered over the
-    // round-start snapshot for reliability gating: the gate sees the
-    // pre-round base plus this project's own decisions — independent of
-    // the thread count and of how far the merger has advanced.
-    let mut overlay: FxHashMap<u32, (u32, u32)> = FxHashMap::default();
+/// What one project's tick does in a round.
+#[derive(Debug, Clone, Copy)]
+enum Tick {
+    /// Algorithm 1 for up to this many tasks: publish a batch, collect
+    /// and decide it, repeat until the quota or the budget runs out.
+    Run(u32),
+    /// One platform step over tasks already published: decide what was
+    /// submitted and publish nothing (the audience-mode `Collect`).
+    Collect,
+}
 
-    let mut issued = 0u32;
-    let mut approved_total = 0u32;
-    let mut rejected_total = 0u32;
+/// One project's round in progress inside [`tick_campaign`].
+#[derive(Default)]
+struct TickAcc {
+    decisions: Vec<DecisionRecord>,
+    notifications: Vec<Notification>,
+    /// (approved, rejected) per worker in this round, layered over the
+    /// round-start snapshot for reliability gating: the gate sees the
+    /// pre-round base plus this project's own decisions — independent of
+    /// the thread count and of how far the merger has advanced.
+    overlay: FxHashMap<u32, (u32, u32)>,
+    approved: u32,
+    rejected: u32,
+}
 
-    loop {
-        let want = config
-            .batch_size
-            .min((max_tasks - issued) as usize)
-            .min((rt.budget_total - rt.budget_spent) as usize);
-        if want == 0 {
-            break;
-        }
-
-        if !rt.strategy_initialized {
+impl ProjectRuntime {
+    /// Step 4 of Algorithm 1: CHOOSERESOURCES() picks up to `want`
+    /// resources and their tagging tasks are published (escrowing pay,
+    /// consuming budget). Returns the number published.
+    fn publish(&mut self, want: usize) -> u32 {
+        if !self.strategy_initialized {
             let view = RuntimeView {
-                pq: &rt.pq,
-                popularity: &rt.dataset.popularity,
+                pq: &self.pq,
+                popularity: &self.dataset.popularity,
             };
-            rt.strategy.init(&view, rt.budget_total, &mut rt.rng);
-            rt.strategy_initialized = true;
+            self.strategy.init(&view, self.budget_total, &mut self.rng);
+            self.strategy_initialized = true;
         }
         let chosen = {
             let view = RuntimeView {
-                pq: &rt.pq,
-                popularity: &rt.dataset.popularity,
+                pq: &self.pq,
+                popularity: &self.dataset.popularity,
             };
-            rt.strategy.choose(&view, want, &mut rt.rng)
+            self.strategy.choose(&view, want, &mut self.rng)
         };
-        if chosen.is_empty() {
-            break; // strategy has nothing left
-        }
         for &r in &chosen {
-            let task = rt.platform.publish(rt.id, r, rt.pay_cents);
-            rt.ledger.escrow(rt.id, rt.pay_cents as u64);
-            rt.pending.insert(task.0);
+            let task = self.platform.publish(self.id, r, self.pay_cents);
+            self.ledger.escrow(self.id, self.pay_cents as u64);
+            self.pending.insert(task.0);
         }
-        rt.budget_spent += chosen.len() as u32;
-        issued += chosen.len() as u32;
+        self.budget_spent += chosen.len() as u32;
+        chosen.len() as u32
+    }
+}
 
-        let mut ticks = 0u32;
-        while !rt.pending.is_empty() && ticks < config.max_ticks_per_batch {
-            ticks += 1;
-            let results = rt.platform.step(&rt.dataset, &mut rt.rng);
-            for result in results {
-                rt.pending.remove(&result.task.0);
-                let i = result.resource.index();
-                let approve = rt.approval.decide(&result.tags, rt.pq.states[i].rfd());
-                let (worker, pay) = rt.platform.decide(result.task, approve)?;
-                let counts = overlay.entry(worker.0).or_insert((0, 0));
-                let mut posts_after = 0u32;
-                let mut quality_after = 0.0f64;
-                if approve {
-                    counts.0 += 1;
-                    rt.ledger.release(rt.id, worker, pay as u64)?;
-                    quality_after = rt.pq.apply_post(&rt.dataset, result.resource, &result.tags);
-                    posts_after = rt.pq.counts[i];
-                    rt.tasks_approved += 1;
-                    approved_total += 1;
-                } else {
-                    counts.1 += 1;
-                    rt.ledger.refund(rt.id, pay as u64)?;
-                    rt.tasks_rejected += 1;
-                    rejected_total += 1;
-                }
+/// Steps 5–6 of Algorithm 1 for one platform tick: collect finished
+/// submissions, decide approval, move money, fold approved posts into the
+/// statistics (UPDATE()), and emit feedback — buffering every effect on
+/// shared tables into `acc`.
+fn collect_step(
+    rt: &mut ProjectRuntime,
+    config: &EngineConfig,
+    rep: &ReputationSnapshot,
+    acc: &mut TickAcc,
+) -> Result<()> {
+    let results = rt.platform.step(&rt.dataset, &mut rt.rng);
+    for result in results {
+        rt.pending.remove(&result.task.0);
+        let i = result.resource.index();
+        let approve = rt.approval.decide(&result.tags, rt.pq.states[i].rfd());
+        let (worker, pay) = rt.platform.decide(result.task, approve)?;
+        let counts = acc.overlay.entry(worker.0).or_insert((0, 0));
+        let mut posts_after = 0u32;
+        let mut quality_after = 0.0f64;
+        if approve {
+            counts.0 += 1;
+            rt.ledger.release(rt.id, worker, pay as u64)?;
+            quality_after = rt.pq.apply_post(&rt.dataset, result.resource, &result.tags);
+            posts_after = rt.pq.counts[i];
+            rt.tasks_approved += 1;
+            acc.approved += 1;
+        } else {
+            counts.1 += 1;
+            rt.ledger.refund(rt.id, pay as u64)?;
+            rt.tasks_rejected += 1;
+            acc.rejected += 1;
+        }
 
-                if config.enforce_reliability && !approve {
-                    let (extra_a, extra_r) = overlay[&worker.0];
-                    if !rep.is_reliable_with(worker.0, extra_a, extra_r) {
-                        rt.platform.ban_worker(worker);
-                    }
-                }
-
-                let view = RuntimeView {
-                    pq: &rt.pq,
-                    popularity: &rt.dataset.popularity,
-                };
-                rt.strategy.notify_update(&view, result.resource);
-
-                notifications.push(Notification::TagDecided {
-                    project: rt.id,
-                    resource: result.resource,
-                    tagger: worker,
-                    approved: approve,
-                });
-                decisions.push(DecisionRecord {
-                    worker,
-                    approved: approve,
-                    pay,
-                    resource: result.resource,
-                    tags: result.tags,
-                    submitted_at: result.submitted_at,
-                    posts_after,
-                    quality_after,
-                });
-            }
-
-            // Feedback: series point + quality milestones, once per tick
-            // (the cadence of `collect_once`).
-            if rt.budget_spent >= rt.next_record {
-                rt.series.push(BudgetPoint {
-                    spent: rt.budget_spent,
-                    mean_quality: rt.pq.mean_quality(),
-                });
-                rt.next_record += config.record_every.max(1);
-            }
-            let q = rt.pq.mean_quality();
-            while q >= rt.last_milestone + 0.1 {
-                rt.last_milestone += 0.1;
-                notifications.push(Notification::QualityMilestone {
-                    project: rt.id,
-                    quality: q,
-                    milestone: rt.last_milestone,
-                });
+        // Reliability enforcement: a tagger whose received-approval rate
+        // fell through the gate stops receiving assignments.
+        if config.enforce_reliability && !approve {
+            let (extra_a, extra_r) = acc.overlay[&worker.0];
+            if !rep.is_reliable_with(worker.0, extra_a, extra_r) {
+                rt.platform.ban_worker(worker);
             }
         }
-        if !rt.pending.is_empty() {
-            break; // platform starvation — same bail-out as `run`
-        }
+
+        // The strategy observes every decision (MU re-queues the resource
+        // with its refreshed instability).
+        let view = RuntimeView {
+            pq: &rt.pq,
+            popularity: &rt.dataset.popularity,
+        };
+        rt.strategy.notify_update(&view, result.resource);
+
+        acc.notifications.push(Notification::TagDecided {
+            project: rt.id,
+            resource: result.resource,
+            tagger: worker,
+            approved: approve,
+        });
+        acc.decisions.push(DecisionRecord {
+            worker,
+            approved: approve,
+            pay,
+            resource: result.resource,
+            tags: result.tags,
+            submitted_at: result.submitted_at,
+            posts_after,
+            quality_after,
+        });
     }
 
-    // Close the series at the exact final spend.
-    if rt.series.last().map(|p| p.spent) != Some(rt.budget_spent) {
+    // Feedback: series point + quality milestones, once per tick.
+    if rt.budget_spent >= rt.next_record {
         rt.series.push(BudgetPoint {
             spent: rt.budget_spent,
             mean_quality: rt.pq.mean_quality(),
         });
+        rt.next_record += config.record_every.max(1);
     }
-    if rt.budget_spent >= rt.budget_total {
-        rt.state = ProjectState::Completed;
-        notifications.push(Notification::BudgetExhausted { project: rt.id });
+    let q = rt.pq.mean_quality();
+    while q >= rt.last_milestone + 0.1 {
+        rt.last_milestone += 0.1;
+        acc.notifications.push(Notification::QualityMilestone {
+            project: rt.id,
+            quality: q,
+            milestone: rt.last_milestone,
+        });
+    }
+    Ok(())
+}
+
+/// Runs one project's tick of a round using only project-local state plus
+/// the round-start [`ReputationSnapshot`], buffering every effect that
+/// touches shared tables. The merge in [`ITagEngine::run_all_with`]
+/// replays the buffers in project-id order, so the stored bytes are
+/// identical across thread counts. Reading reputation from the snapshot
+/// (never the live tables) is what lets the merger commit earlier
+/// projects while this tick is still running without breaking that
+/// contract.
+fn tick_campaign(
+    rt: &mut ProjectRuntime,
+    config: &EngineConfig,
+    rep: &ReputationSnapshot,
+    tick: Tick,
+) -> Result<ProjectOutcome> {
+    let mut acc = TickAcc::default();
+    let mut issued = 0u32;
+    match tick {
+        Tick::Collect => collect_step(rt, config, rep, &mut acc)?,
+        Tick::Run(max_tasks) => {
+            loop {
+                let want = config
+                    .batch_size
+                    .min((max_tasks - issued) as usize)
+                    .min((rt.budget_total - rt.budget_spent) as usize);
+                if want == 0 {
+                    break;
+                }
+                let published = rt.publish(want);
+                if published == 0 {
+                    break; // strategy has nothing left
+                }
+                issued += published;
+
+                let mut ticks = 0u32;
+                while !rt.pending.is_empty() && ticks < config.max_ticks_per_batch {
+                    ticks += 1;
+                    collect_step(rt, config, rep, &mut acc)?;
+                }
+                if !rt.pending.is_empty() {
+                    // Platform starvation: the published work cannot
+                    // complete (e.g. the reliability gate banned the whole
+                    // pool after a spam-poisoned consensus — the death
+                    // spiral the `gatekeeping` figure studies). Stop
+                    // issuing; the stalled tasks stay visible as
+                    // open_tasks and their pay as held escrow.
+                    break;
+                }
+            }
+
+            // Close the series at the exact final spend.
+            if rt.series.last().map(|p| p.spent) != Some(rt.budget_spent) {
+                rt.series.push(BudgetPoint {
+                    spent: rt.budget_spent,
+                    mean_quality: rt.pq.mean_quality(),
+                });
+            }
+            if rt.budget_spent >= rt.budget_total {
+                rt.state = ProjectState::Completed;
+                acc.notifications
+                    .push(Notification::BudgetExhausted { project: rt.id });
+            }
+        }
     }
 
     let quality = rt.pq.mean_quality();
     Ok(ProjectOutcome {
         summary: RunSummary {
             issued,
-            approved: approved_total,
-            rejected: rejected_total,
+            approved: acc.approved,
+            rejected: acc.rejected,
             quality,
             improvement: quality - rt.initial_quality,
         },
-        decisions,
-        notifications,
+        decisions: acc.decisions,
+        notifications: acc.notifications,
     })
 }
 
@@ -823,6 +836,29 @@ impl ITagEngine {
         spec: ProjectSpec,
         dataset: Dataset,
     ) -> Result<ProjectId> {
+        self.add_project_on(provider, spec, dataset, None)
+    }
+
+    /// Like [`ITagEngine::add_project`], but with a caller-supplied
+    /// platform — e.g. [`itag_crowd::audience::ManualPlatform`] for the
+    /// demo's live audience mode, or an adapter to a real marketplace.
+    pub fn add_project_with_platform(
+        &mut self,
+        provider: u32,
+        spec: ProjectSpec,
+        dataset: Dataset,
+        platform: Box<dyn CrowdPlatform + Send>,
+    ) -> Result<ProjectId> {
+        self.add_project_on(provider, spec, dataset, Some(platform))
+    }
+
+    fn add_project_on(
+        &mut self,
+        provider: u32,
+        spec: ProjectSpec,
+        dataset: Dataset,
+        platform: Option<Box<dyn CrowdPlatform + Send>>,
+    ) -> Result<ProjectId> {
         spec.validate().map_err(EngineError::InvalidDataset)?;
         validate_dataset(&dataset)?;
 
@@ -856,50 +892,7 @@ impl ITagEngine {
         )?;
         self.store.commit(batch)?;
 
-        let runtime = self.build_runtime(record, dataset, pq, None)?;
-        self.runtimes.insert(id.0, runtime);
-        Ok(id)
-    }
-
-    /// Like [`ITagEngine::add_project`], but with a caller-supplied
-    /// platform — e.g. [`itag_crowd::audience::ManualPlatform`] for the
-    /// demo's live audience mode, or an adapter to a real marketplace.
-    pub fn add_project_with_platform(
-        &mut self,
-        provider: u32,
-        spec: ProjectSpec,
-        dataset: Dataset,
-        platform: Box<dyn CrowdPlatform + Send>,
-    ) -> Result<ProjectId> {
-        spec.validate().map_err(EngineError::InvalidDataset)?;
-        validate_dataset(&dataset)?;
-        let id = ProjectId(self.next_project_id);
-        self.next_project_id += 1;
-        let counts = dataset.initial_counts();
-        let pq = ProjectQuality::from_dataset(&dataset, self.config.metric);
-        self.resources
-            .upload(id, &dataset.resources, &counts, &pq.qualities)?;
-        self.tags.store_dictionary(&dataset.dictionary)?;
-        let record = ProjectRecord {
-            id,
-            provider,
-            spec: spec.clone(),
-            state: ProjectState::Running,
-            budget_total: spec.budget,
-            budget_spent: 0,
-            created_at: 0,
-        };
-        let mut batch = WriteBatch::new();
-        self.projects.stage_upsert_cached(&mut batch, &record)?;
-        self.datasets.stage_upsert(
-            &mut batch,
-            &DatasetRecord {
-                project: id,
-                dataset: dataset.clone(),
-            },
-        )?;
-        self.store.commit(batch)?;
-        let runtime = self.build_runtime(record, dataset, pq, Some(platform))?;
+        let runtime = self.build_runtime(record, dataset, pq, platform)?;
         self.runtimes.insert(id.0, runtime);
         Ok(id)
     }
@@ -943,8 +936,8 @@ impl ITagEngine {
     }
 
     /// A remote tagger claims `task` on an audience-platform project and
-    /// submits `tags`; the decision lands at the next
-    /// [`ITagEngine::collect_once`].
+    /// submits `tags`; the next [`ITagEngine::collect_once`] decides and
+    /// commits it.
     pub fn audience_submit(
         &mut self,
         project: ProjectId,
@@ -982,9 +975,9 @@ impl ITagEngine {
         let pq = ProjectQuality::from_dataset(&dataset, self.config.metric);
         let mut runtime = self.build_runtime(record, dataset, pq, None)?;
         for post in self.tags.all_posts(id)? {
-            let r = post.resource;
-            let q = runtime.pq.apply_post(&runtime.dataset, r, &post.tags);
-            let _ = q;
+            runtime
+                .pq
+                .apply_post(&runtime.dataset, post.resource, &post.tags);
             runtime.tasks_approved += 1;
         }
         runtime.initial_quality = runtime
@@ -1021,10 +1014,10 @@ impl ITagEngine {
             }
         };
         let initial_quality = pq.mean_quality();
-        let series = vec![BudgetPoint {
+        let series = Series::new(BudgetPoint {
             spent: record.budget_spent,
             mean_quality: initial_quality,
-        }];
+        });
         Ok(ProjectRuntime {
             id: record.id,
             provider: record.provider,
@@ -1058,9 +1051,9 @@ impl ITagEngine {
     /// picks up to `want` resources and their tagging tasks are published
     /// (escrowing pay, consuming budget). Returns the number published.
     ///
-    /// `run` composes this with [`ITagEngine::collect_once`]; audience-
-    /// platform projects call the two halves separately, submitting
-    /// between them.
+    /// Audience-platform projects publish with this and decide what the
+    /// audience submitted with [`ITagEngine::collect_once`]; `run` does
+    /// both inside its round.
     pub fn publish_batch(&mut self, project: ProjectId, want: usize) -> Result<u32> {
         let rt = self
             .runtimes
@@ -1078,141 +1071,17 @@ impl ITagEngine {
         if want == 0 {
             return Ok(0);
         }
-
-        if !rt.strategy_initialized {
-            let view = RuntimeView {
-                pq: &rt.pq,
-                popularity: &rt.dataset.popularity,
-            };
-            rt.strategy.init(&view, rt.budget_total, &mut self.rng);
-            rt.strategy_initialized = true;
-        }
-        let chosen = {
-            let view = RuntimeView {
-                pq: &rt.pq,
-                popularity: &rt.dataset.popularity,
-            };
-            rt.strategy.choose(&view, want, &mut self.rng)
-        };
-        for &r in &chosen {
-            let task = rt.platform.publish(rt.id, r, rt.pay_cents);
-            rt.ledger.escrow(rt.id, rt.pay_cents as u64);
-            rt.pending.insert(task.0);
-        }
-        rt.budget_spent += chosen.len() as u32;
-        Ok(chosen.len() as u32)
+        Ok(rt.publish(want))
     }
 
-    /// Steps 5–6 of Algorithm 1 for one platform tick: collect finished
-    /// submissions, decide approval, move money, fold approved posts into
-    /// the statistics (UPDATE()), and emit feedback. Returns
-    /// `(approved, rejected)` for this tick.
+    /// Steps 5–6 of Algorithm 1 for one platform tick, as a round over
+    /// this project that publishes nothing: collect finished submissions,
+    /// decide approval, move money, fold approved posts into the
+    /// statistics (UPDATE()), emit feedback, and commit it all as one
+    /// frame. Returns `(approved, rejected)` for this tick.
     pub fn collect_once(&mut self, project: ProjectId) -> Result<(u32, u32)> {
-        let out = self.collect_once_inner(project);
-        if out.is_err() {
-            // A failed collection may have left records staged for a batch
-            // that will never commit; they must not answer later reads.
-            self.users.clear_staged();
-        }
-        out
-    }
-
-    fn collect_once_inner(&mut self, project: ProjectId) -> Result<(u32, u32)> {
-        let rt = self
-            .runtimes
-            .get_mut(&project.0)
-            .ok_or(EngineError::UnknownProject(project))?;
-        let mut approved = 0u32;
-        let mut rejected = 0u32;
-
-        let results = rt.platform.step(&rt.dataset, &mut self.rng);
-        for result in results {
-            rt.pending.remove(&result.task.0);
-            let i = result.resource.index();
-            let approve = rt.approval.decide(&result.tags, rt.pq.states[i].rfd());
-            let (worker, pay) = rt.platform.decide(result.task, approve)?;
-
-            let mut batch = WriteBatch::new();
-            self.users
-                .stage_decision(&mut batch, rt.provider, worker.0, approve, pay)?;
-
-            if approve {
-                rt.ledger.release(rt.id, worker, pay as u64)?;
-                let post = Post::new(
-                    PostId(self.next_post_id),
-                    result.resource,
-                    worker,
-                    result.tags.clone(),
-                    rt.pq.counts[i] + 1,
-                    result.submitted_at,
-                );
-                self.next_post_id += 1;
-                self.tags.stage_post(&mut batch, rt.id, &post)?;
-                let q = rt.pq.apply_post(&rt.dataset, result.resource, &post.tags);
-                // The resource row carries count + quality together; the
-                // fetched record moves straight into the staged batch.
-                let mut rec = self.resources.get(rt.id, result.resource)?;
-                rec.quality = q;
-                let old_posts = rec.posts;
-                rec.posts += 1;
-                self.resources
-                    .stage_finalize_posts(&mut batch, old_posts, rec)?;
-                rt.tasks_approved += 1;
-                approved += 1;
-            } else {
-                rt.ledger.refund(rt.id, pay as u64)?;
-                rt.tasks_rejected += 1;
-                rejected += 1;
-            }
-            self.store.commit(batch)?;
-            // The decision is durable: the staged overlay has served its
-            // read-your-own-writes purpose, and the reputation ledger
-            // (when maintained) absorbs the same delta the table just did.
-            self.users.clear_staged();
-            if let Some(ledger) = self.reputation.as_mut() {
-                ledger.bump(worker.0, approve as u32, !approve as u32);
-            }
-
-            // Reliability enforcement: a tagger whose received-approval
-            // rate fell through the gate stops receiving assignments.
-            if self.config.enforce_reliability && !approve && !self.users.is_reliable(worker.0)? {
-                rt.platform.ban_worker(worker);
-            }
-
-            // The strategy observes every decision (MU re-queues the
-            // resource with its refreshed instability).
-            let view = RuntimeView {
-                pq: &rt.pq,
-                popularity: &rt.dataset.popularity,
-            };
-            rt.strategy.notify_update(&view, result.resource);
-
-            self.notifications.push(Notification::TagDecided {
-                project: rt.id,
-                resource: result.resource,
-                tagger: worker,
-                approved: approve,
-            });
-        }
-
-        // Feedback: series point + quality milestones.
-        if rt.budget_spent >= rt.next_record {
-            rt.series.push(BudgetPoint {
-                spent: rt.budget_spent,
-                mean_quality: rt.pq.mean_quality(),
-            });
-            rt.next_record += self.config.record_every.max(1);
-        }
-        let q = rt.pq.mean_quality();
-        while q >= rt.last_milestone + 0.1 {
-            rt.last_milestone += 0.1;
-            self.notifications.push(Notification::QualityMilestone {
-                project: rt.id,
-                quality: q,
-                milestone: rt.last_milestone,
-            });
-        }
-        Ok((approved, rejected))
+        let s = self.round_of(project, Tick::Collect)?;
+        Ok((s.approved, s.rejected))
     }
 
     /// Tasks published but not yet decided.
@@ -1226,89 +1095,32 @@ impl ITagEngine {
     }
 
     /// Runs Algorithm 1 for up to `max_tasks` tasks (bounded by the
-    /// remaining budget) through the crowdsourcing platform.
-    // lint: allow(panic-path)
+    /// remaining budget) through the crowdsourcing platform: the round of
+    /// [`ITagEngine::run_all`] over this one project, committed as one
+    /// WAL frame.
     pub fn run(&mut self, project: ProjectId, max_tasks: u32) -> Result<RunSummary> {
-        {
-            let rt = self
-                .runtimes
-                .get(&project.0)
-                .ok_or(EngineError::UnknownProject(project))?;
-            if rt.state != ProjectState::Running {
-                return Err(EngineError::BadProjectState {
-                    project,
-                    state: rt.state.label(),
-                });
-            }
-        }
-
-        let mut issued = 0u32;
-        let mut approved = 0u32;
-        let mut rejected = 0u32;
-
-        loop {
-            let want = self.config.batch_size.min((max_tasks - issued) as usize);
-            if want == 0 {
-                break;
-            }
-            let published = self.publish_batch(project, want.max(1))?;
-            if published == 0 {
-                break; // budget exhausted or strategy has nothing left
-            }
-            issued += published;
-
-            let mut ticks = 0u32;
-            while self.pending_tasks(project)? > 0 && ticks < self.config.max_ticks_per_batch {
-                ticks += 1;
-                let (a, r) = self.collect_once(project)?;
-                approved += a;
-                rejected += r;
-            }
-            if self.pending_tasks(project)? > 0 {
-                // Platform starvation: the published work cannot complete
-                // (e.g. the reliability gate banned the whole pool after a
-                // spam-poisoned consensus — the death spiral the
-                // `gatekeeping` figure studies). Stop issuing; the stalled
-                // tasks stay visible as open_tasks and their pay as held
-                // escrow.
-                break;
-            }
-        }
-
-        let rt = self.runtimes.get_mut(&project.0).expect("checked at entry");
-        // Close the series at the exact final spend.
-        if rt.series.last().map(|p| p.spent) != Some(rt.budget_spent) {
-            rt.series.push(BudgetPoint {
-                spent: rt.budget_spent,
-                mean_quality: rt.pq.mean_quality(),
+        let rt = self
+            .runtimes
+            .get(&project.0)
+            .ok_or(EngineError::UnknownProject(project))?;
+        if rt.state != ProjectState::Running {
+            return Err(EngineError::BadProjectState {
+                project,
+                state: rt.state.label(),
             });
         }
+        self.round_of(project, Tick::Run(max_tasks))
+    }
 
-        if rt.budget_spent >= rt.budget_total {
-            rt.state = ProjectState::Completed;
-            self.notifications
-                .push(Notification::BudgetExhausted { project: rt.id });
-        }
-
-        // Persist the project row (budget/state) — read-modify-write
-        // staged as one batch.
-        let (budget_spent, state) = (rt.budget_spent, rt.state);
-        self.projects
-            .update(&project, |record| {
-                record.budget_spent = budget_spent;
-                record.state = state;
-            })?
-            .ok_or(EngineError::UnknownProject(project))?;
-
-        let rt = self.runtimes.get(&project.0).expect("checked at entry");
-        let quality = rt.pq.mean_quality();
-        Ok(RunSummary {
-            issued,
-            approved,
-            rejected,
-            quality,
-            improvement: quality - rt.initial_quality,
-        })
+    /// A round over one project; `UnknownProject` if it has no runtime.
+    /// It runs inline at any thread count, so this skips resolving one (a
+    /// cgroup probe per call).
+    fn round_of(&mut self, project: ProjectId, tick: Tick) -> Result<RunSummary> {
+        let depth = self.resolved_pipeline_depth();
+        self.round(vec![project.0], tick, 1, depth)?
+            .pop()
+            .map(|(_, s)| s)
+            .ok_or(EngineError::UnknownProject(project))
     }
 
     /// Ticks every `Running` project concurrently — Algorithm 1 per
@@ -1343,8 +1155,8 @@ impl ITagEngine {
     /// (never the live tables, which the merger may already be advancing);
     /// post-id blocks are assigned in project-id order at the pipeline's
     /// ordered handoff; staging reads only its own project's rows, which
-    /// only its own (later) merge writes; and the merger commits one frame
-    /// per project in project-id order. Monitor snapshots, ledgers and
+    /// only its own (later) merge writes; and the merger commits frames in
+    /// project-id order. Monitor snapshots, ledgers and
     /// stored bytes are therefore **identical for every thread count and
     /// every pipeline depth**, including depth 0.
     pub fn run_all_with(
@@ -1353,7 +1165,6 @@ impl ITagEngine {
         threads: usize,
         pipeline_depth: usize,
     ) -> Result<Vec<(ProjectId, RunSummary)>> {
-        let threads = threads.max(1);
         let mut ids: Vec<u32> = self
             .runtimes
             .iter()
@@ -1361,9 +1172,23 @@ impl ITagEngine {
             .map(|(id, _)| *id)
             .collect();
         ids.sort_unstable();
+        self.round(ids, Tick::Run(max_tasks), threads, pipeline_depth)
+    }
+
+    /// One round over the projects `ids` (ascending): tick, stage and
+    /// merge each, committing their frames in groups of
+    /// [`ITagEngine::resolved_commit_batch`].
+    fn round(
+        &mut self,
+        ids: Vec<u32>,
+        kind: Tick,
+        threads: usize,
+        pipeline_depth: usize,
+    ) -> Result<Vec<(ProjectId, RunSummary)>> {
+        let threads = threads.max(1);
         let work: Vec<(u32, ProjectRuntime)> = ids
-            .iter()
-            .map(|id| (*id, self.runtimes.remove(id).expect("listed above")))
+            .into_iter()
+            .filter_map(|id| self.runtimes.remove(&id).map(|rt| (id, rt)))
             .collect();
         if work.is_empty() {
             return Ok(Vec::new());
@@ -1384,11 +1209,11 @@ impl ITagEngine {
         } else {
             self.users.empty_reputation_snapshot()
         };
-        // Cross-project group commit: budget > 1 folds consecutive merge
-        // frames into one WAL frame + fsync. The mutex is uncontended —
-        // only the merge phase touches it, and merges are serial — but it
-        // makes the closure set `Sync` for the scoped threads.
-        let commit_budget = self.resolved_commit_batch();
+        // Group commit: up to `commit_budget` consecutive merge frames
+        // share one WAL frame + fsync. The mutex is uncontended — only the
+        // merge phase touches it, and merges are serial — but it makes the
+        // closure set `Sync` for the scoped threads.
+        let commit_budget = self.resolved_commit_batch().max(1);
         let group = parking_lot::Mutex::named("core.engine.group_commit", GroupCommit::default());
         let results = {
             let rep = &rep;
@@ -1408,7 +1233,7 @@ impl ITagEngine {
             // project-id order on the merger thread (pipelined) or the
             // calling thread (barrier path).
             let tick = |_: usize, (id, mut rt): (u32, ProjectRuntime)| {
-                let outcome = tick_campaign(&mut rt, config, rep, max_tasks);
+                let outcome = tick_campaign(&mut rt, config, rep, kind);
                 (id, rt, outcome)
             };
             let sequence =
@@ -1441,32 +1266,17 @@ impl ITagEngine {
             );
             let merge = |_: usize, (id, rt, staged): Staged| {
                 let round = match staged {
-                    Ok((job, deltas, batch)) => {
-                        if commit_budget > 1 {
-                            merge_into_group(
-                                users,
-                                projects_tbl,
-                                store,
-                                ledger,
-                                commit_budget,
-                                &mut group.lock(),
-                                job,
-                                deltas,
-                                batch,
-                            )
-                        } else {
-                            let (summary, notes) = merge_ticked_project(
-                                users,
-                                projects_tbl,
-                                store,
-                                ledger,
-                                job,
-                                deltas,
-                                batch,
-                            );
-                            RoundResult::Merged(summary, notes)
-                        }
-                    }
+                    Ok((job, deltas, batch)) => merge_into_group(
+                        users,
+                        projects_tbl,
+                        store,
+                        ledger,
+                        commit_budget,
+                        &mut group.lock(),
+                        job,
+                        deltas,
+                        batch,
+                    ),
                     Err(e) => RoundResult::TickFailed(e),
                 };
                 (id, rt, round)
@@ -1525,33 +1335,27 @@ impl ITagEngine {
         let mut merge_err: Option<EngineError> = None;
         for (id, rt, round) in results {
             self.runtimes.insert(id, rt);
-            let round = match round {
-                // Resolve a deferred (group-committed) project to its
-                // flush outcome; every deferred member was resolved by
-                // its group's flush or the tail flush above, so a miss
-                // is a harness bug — surfaced as an error, never a
-                // panic (dashboards ride on this path).
-                RoundResult::Deferred => match group_outcomes.remove(&id) {
-                    Some((outcome, notes)) => RoundResult::Merged(outcome, notes),
-                    None => RoundResult::Merged(
-                        Err(EngineError::Config(format!(
-                            "project {id}: group-commit outcome missing"
-                        ))),
-                        Vec::new(),
-                    ),
-                },
-                other => other,
-            };
             match round {
                 RoundResult::TickFailed(e) => tick_err = tick_err.or(Some(e)),
-                RoundResult::Merged(Ok(s), notes) => {
-                    for n in notes {
-                        self.notifications.push(n);
+                RoundResult::StageFailed(e) => merge_err = merge_err.or(Some(e)),
+                // Every deferred member was resolved by its group's flush
+                // or the tail flush above, so a miss is a harness bug —
+                // surfaced as an error, never a panic (dashboards ride on
+                // this path).
+                RoundResult::Deferred => match group_outcomes.remove(&id) {
+                    Some((Ok(s), notes)) => {
+                        for n in notes {
+                            self.notifications.push(n);
+                        }
+                        summaries.push((ProjectId(id), s));
                     }
-                    summaries.push((ProjectId(id), s));
-                }
-                RoundResult::Merged(Err(e), _) => merge_err = merge_err.or(Some(e)),
-                RoundResult::Deferred => unreachable!("resolved above"),
+                    Some((Err(e), _)) => merge_err = merge_err.or(Some(e)),
+                    None => {
+                        merge_err = merge_err.or(Some(EngineError::Config(format!(
+                            "project {id}: group-commit outcome missing"
+                        ))))
+                    }
+                },
             }
         }
         match tick_err.or(merge_err) {
@@ -1598,11 +1402,11 @@ impl ITagEngine {
         crate::config::DEFAULT_PIPELINE_DEPTH
     }
 
-    /// Group-commit budget [`ITagEngine::run_all`] will use: up to this
-    /// many projects' merge frames are folded into a single store commit
-    /// (one WAL append + fsync) per flush, also bounded by
-    /// [`crate::config::COMMIT_BATCH_MAX_BYTES`]. `0` and `1` both mean
-    /// the per-project legacy schedule. Purely a throughput knob —
+    /// Group-commit budget every round will use: up to this many
+    /// projects' merge frames are folded into a single store commit (one
+    /// WAL append + fsync) per flush, also bounded by
+    /// [`crate::config::COMMIT_BATCH_MAX_BYTES`]. `0` and `1` both mean a
+    /// group of one: one frame per project. Purely a throughput knob —
     /// results are bit-identical at every budget.
     /// `EngineConfig::commit_batch`, else the `ITAG_COMMIT_BATCH`
     /// override validated at construction, else
@@ -1671,7 +1475,7 @@ impl ITagEngine {
     /// epoch and the digests describe the same round boundary. Cost is
     /// one shard-directory clone plus O(projects) digests — no table is
     /// copied ([`itag_store::Store::read_snapshot`]).
-    pub fn snapshot(&self) -> crate::snapshot::EngineSnapshot {
+    pub fn snapshot(&self) -> EngineSnapshot {
         let store = self.store.read_snapshot();
         let reputation = match &self.reputation {
             Some(ledger) => ledger.snapshot(),
@@ -1702,52 +1506,19 @@ impl ITagEngine {
                     refunded,
                     pay_per_task_cents: rt.pay_cents,
                     series: rt.series.clone(),
+                    rfds: rt.pq.rfds.clone(),
                 },
             );
         }
-        crate::snapshot::EngineSnapshot::assemble(store, reputation, projects)
+        EngineSnapshot::assemble(store, reputation, projects)
     }
 
-    /// The Fig. 3 / Fig. 5 view of a project.
+    /// The Fig. 3 / Fig. 5 view of a project, off a fresh
+    /// [`ITagEngine::snapshot`] — one implementation for live and
+    /// snapshot reads.
     pub fn monitor(&self, project: ProjectId) -> Result<MonitorSnapshot> {
-        let rt = self
-            .runtimes
-            .get(&project.0)
-            .ok_or(EngineError::UnknownProject(project))?;
-        let (escrowed, paid, refunded) = rt.ledger.totals();
-        let rows = self
-            .resources
-            .list(project)?
-            .into_iter()
-            .map(|r| ResourceRow {
-                id: r.resource.id,
-                uri: r.resource.uri,
-                posts: rt.pq.counts[r.resource.id.index()],
-                quality: rt.pq.qualities[r.resource.id.index()],
-                stopped: r.stopped,
-            })
-            .collect();
-        Ok(MonitorSnapshot {
-            project,
-            name: rt.name.clone(),
-            state: rt.state.label().to_string(),
-            strategy: rt.strategy.active_name().to_string(),
-            quality_mean: rt.pq.mean_quality(),
-            quality_initial: rt.initial_quality,
-            oracle_quality: rt.pq.oracle_mean_quality(&rt.dataset),
-            budget_total: rt.budget_total,
-            budget_spent: rt.budget_spent,
-            open_tasks: rt.platform.open_tasks(),
-            tasks_approved: rt.tasks_approved,
-            tasks_rejected: rt.tasks_rejected,
-            banned_taggers: rt.platform.banned_count(),
-            escrowed: escrowed - paid - refunded,
-            paid,
-            refunded,
-            quality_summary: itag_quality::aggregate::QualitySummary::compute(&rt.pq.qualities),
-            series: rt.series.clone(),
-            rows,
-        })
+        let snap: EngineSnapshot = self.snapshot();
+        snap.monitor(project)
     }
 
     /// The Fig. 6 single-resource drill-down.
@@ -1885,33 +1656,10 @@ impl ITagEngine {
         Ok(())
     }
 
-    /// "Export resources with the desired tags."
+    /// "Export resources with the desired tags", off a fresh snapshot.
     pub fn export(&self, project: ProjectId) -> Result<crate::export::Export> {
-        let rt = self
-            .runtimes
-            .get(&project.0)
-            .ok_or(EngineError::UnknownProject(project))?;
-        let mut resources = Vec::with_capacity(rt.dataset.len());
-        for record in self.resources.list(project)? {
-            let i = record.resource.id.index();
-            let state = &rt.pq.states[i];
-            let mut tag_counts: Vec<(itag_model::ids::TagId, u32)> = state.rfd().iter().collect();
-            tag_counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            resources.push(crate::export::ExportedResource {
-                uri: record.resource.uri,
-                kind: record.resource.kind.label().to_string(),
-                posts: rt.pq.counts[i],
-                quality: rt.pq.qualities[i],
-                tags: tag_counts
-                    .into_iter()
-                    .map(|(t, c)| (self.tags.text(t), c))
-                    .collect(),
-            });
-        }
-        Ok(crate::export::Export {
-            project: rt.name.clone(),
-            resources,
-        })
+        let snap: EngineSnapshot = self.snapshot();
+        snap.export(project)
     }
 
     /// "We will help providers choose the best strategy given the current
@@ -1973,30 +1721,10 @@ impl ITagEngine {
 
     /// The tagger-side project browser (Fig. 7), sorted the way taggers
     /// choose: "projects with high pay per task or projects from
-    /// providers with good approval rate" — pay descending, provider
-    /// generosity as tie-break.
+    /// providers with good approval rate", off a fresh snapshot.
     pub fn browse_projects(&self) -> Result<Vec<crate::monitor::ProjectListing>> {
-        let mut listings = Vec::with_capacity(self.runtimes.len());
-        for rt in self.runtimes.values() {
-            listings.push(crate::monitor::ProjectListing {
-                project: rt.id,
-                name: rt.name.clone(),
-                state: rt.state.label().to_string(),
-                pay_per_task_cents: rt.pay_cents,
-                provider_approval_rate: self.users.provider_approval_rate(rt.provider)?,
-                open_tasks: rt.platform.open_tasks(),
-            });
-        }
-        listings.sort_by(|a, b| {
-            b.pay_per_task_cents
-                .cmp(&a.pay_per_task_cents)
-                .then(
-                    b.provider_approval_rate
-                        .total_cmp(&a.provider_approval_rate),
-                )
-                .then(a.project.cmp(&b.project))
-        });
-        Ok(listings)
+        let snap: EngineSnapshot = self.snapshot();
+        snap.browse()
     }
 
     /// A tagger's post history on a project (Fig. 8).
@@ -2549,6 +2277,10 @@ mod tests {
         let mut e = engine();
         let p = ProjectId(99);
         assert!(matches!(e.run(p, 1), Err(EngineError::UnknownProject(_))));
+        assert!(matches!(
+            e.collect_once(p),
+            Err(EngineError::UnknownProject(_))
+        ));
         assert!(matches!(e.monitor(p), Err(EngineError::UnknownProject(_))));
         assert!(matches!(e.export(p), Err(EngineError::UnknownProject(_))));
         assert!(matches!(
@@ -2789,8 +2521,8 @@ mod tests {
     fn reputation_ledger_and_rescan_schedules_are_bit_identical() {
         // The incremental ledger and the per-round rescan must produce
         // identical engines: multi-round (the fold between rounds feeds
-        // the next round's snapshot) and with the serial `run` path mixed
-        // in (collect_once feeds the ledger per decision).
+        // the next round's snapshot), with single-project `run` rounds
+        // mixed in.
         let outputs: Vec<_> = [ReputationMode::Ledger, ReputationMode::Rescan]
             .into_iter()
             .map(|mode| {
@@ -2814,8 +2546,8 @@ mod tests {
                 }
                 let mut summaries = Vec::new();
                 summaries.extend(e.run_all_with(50, 4, 2).unwrap());
-                // Serial path between parallel rounds: per-decision
-                // commits must keep the ledger in lock-step.
+                // A single-project round between parallel rounds must keep
+                // the ledger in lock-step.
                 let s = e.run(projects[0], 20).unwrap();
                 assert_eq!(s.issued, 20);
                 summaries.extend(e.run_all_with(50, 4, 0).unwrap());
@@ -2831,8 +2563,8 @@ mod tests {
     #[test]
     fn staged_user_overlay_is_empty_after_runs() {
         // The read-your-own-writes overlay is scoped to a batch, not a
-        // forever-growing cache: after serial and parallel campaigns over
-        // a churny worker pool it must hold nothing.
+        // forever-growing cache: after single-project and parallel
+        // campaigns over a churny worker pool it must hold nothing.
         let mut config = EngineConfig::in_memory(0x0CAC);
         config.workers = 32;
         config.spammer_fraction = 0.2;
@@ -2848,7 +2580,7 @@ mod tests {
         assert_eq!(
             e.users.staged_len(),
             0,
-            "serial path must clear the overlay per commit"
+            "single-project rounds must clear the overlay per frame"
         );
         let _ = e.run_all_with(150, 4, 2).unwrap();
         assert_eq!(
@@ -2951,6 +2683,48 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_group_of_one_writes_the_per_project_frame_byte_for_byte() {
+        // Rounds always commit through the group accumulator; a group of
+        // one must put on disk exactly the frame the per-project schedule
+        // committed: one project's staged effects, deltas and row, handed
+        // straight to the store.
+        let wal_after = |per_project: bool| {
+            let dir = itag_store::testutil::TestDir::new("group-of-one");
+            let config = EngineConfig::durable(0x1F, dir.path().to_path_buf());
+            let mut e = ITagEngine::new(config).unwrap();
+            let provider = e.register_provider("frames").unwrap();
+            let p = e
+                .add_project(provider, ProjectSpec::demo("frames", 100), dataset(30))
+                .unwrap();
+            if per_project {
+                let mut rt = e.runtimes.remove(&p.0).unwrap();
+                let rep = match &e.reputation {
+                    Some(ledger) => ledger.snapshot(),
+                    None => e.users.reputation_snapshot().unwrap(),
+                };
+                let outcome = tick_campaign(&mut rt, &e.config, &rep, Tick::Run(40));
+                let next = AtomicU64::new(e.next_post_id);
+                let mut job = assign_post_base(&next, p.0, &rt, outcome).unwrap();
+                let deltas = DecisionDeltas::from_decisions(
+                    job.outcome
+                        .decisions
+                        .iter()
+                        .map(|d| (d.worker.0, d.approved, d.pay)),
+                );
+                let batch = stage_project_effects(&mut job, &e.tags, &e.resources);
+                let (frame, _) =
+                    stage_member_frame(&e.users, &e.projects, job, deltas, batch).unwrap();
+                e.store.commit(frame).unwrap();
+            } else {
+                assert_eq!(e.run(p, 40).unwrap().issued, 40);
+            }
+            drop(e);
+            std::fs::read(dir.path().join("db.wal")).unwrap()
+        };
+        assert_eq!(wal_after(true), wal_after(false));
     }
 
     #[test]

@@ -25,22 +25,24 @@ impl Export {
     /// CSV rendering: one row per resource, tags as a `;`-joined list.
     /// Fields containing the separator, quotes, or CR/LF are quoted.
     pub fn to_csv(&self) -> String {
+        use std::fmt::Write;
         let mut out = String::from("uri,kind,posts,quality,tags\n");
+        let mut tags = String::new();
         for r in &self.resources {
-            let tags = r
-                .tags
-                .iter()
-                .map(|(t, c)| format!("{t}:{c}"))
-                .collect::<Vec<_>>()
-                .join(";");
-            out.push_str(&format!(
-                "{},{},{},{:.6},{}\n",
+            tags.clear();
+            for (i, (t, c)) in r.tags.iter().enumerate() {
+                let sep = if i == 0 { "" } else { ";" };
+                let _ = write!(tags, "{sep}{t}:{c}");
+            }
+            let _ = writeln!(
+                out,
+                "{},{},{},{:.6},{}",
                 csv_field(&r.uri),
                 csv_field(&r.kind),
                 r.posts,
                 r.quality,
                 csv_field(&tags),
-            ));
+            );
         }
         out
     }

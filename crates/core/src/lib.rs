@@ -46,6 +46,7 @@ pub mod project;
 pub mod quality_mgr;
 pub mod records;
 pub mod resource_mgr;
+pub mod shared;
 pub mod snapshot;
 pub mod tables;
 pub mod tag_mgr;

@@ -10,13 +10,19 @@
 //! the Resource Manager together with the post count, so both commit
 //! atomically in one record per resource per round).
 
+use crate::shared::PagedVec;
 use itag_model::dataset::Dataset;
 use itag_model::ids::{ResourceId, TagId};
 use itag_quality::gain::GainEstimator;
 use itag_quality::history::ResourceQuality;
 use itag_quality::metric::QualityMetric;
+use itag_quality::rfd::Rfd;
 use itag_strategy::StrategyKind;
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Marks an [`ProjectQuality`] oracle memo entry as needing evaluation
+/// (a NaN payload `eval` never returns).
+const STALE: u64 = u64::MAX;
 
 /// Live quality state of one project.
 pub struct ProjectQuality {
@@ -26,12 +32,15 @@ pub struct ProjectQuality {
     pub counts: Vec<u32>,
     quality_sum: f64,
     pub gains: GainEstimator,
-    /// Memo of [`ProjectQuality::oracle_mean_quality`], cleared by every
-    /// [`ProjectQuality::apply_post`]. Every dashboard capture reports the
-    /// oracle mean, captures far outnumber posts on tagger traffic, and
-    /// one evaluation walks every resource's tag distribution (≈1 ms at
-    /// 2,000 resources).
-    oracle_mean: OnceLock<f64>,
+    /// A copy of each resource's rfd that snapshot captures share
+    /// page-wise instead of re-deriving it from the post log.
+    pub rfds: PagedVec<Rfd>,
+    /// Each resource's oracle quality as `f64` bits, [`STALE`] once a
+    /// post moved it: [`ProjectQuality::oracle_mean_quality`] re-evaluates
+    /// only those. Every dashboard capture reports the oracle mean,
+    /// captures far outnumber posts on tagger traffic, and one evaluation
+    /// walks a resource's tag distribution.
+    oracle: Vec<AtomicU64>,
 }
 
 impl ProjectQuality {
@@ -57,12 +66,13 @@ impl ProjectQuality {
         let quality_sum = qualities.iter().sum();
         let mut pq = ProjectQuality {
             metric,
+            rfds: states.iter().map(|s| s.rfd().clone()).collect(),
             states,
             qualities,
             counts,
             quality_sum,
             gains: GainEstimator::oracle(&dataset.latent),
-            oracle_mean: OnceLock::new(),
+            oracle: (0..n).map(|_| AtomicU64::new(STALE)).collect(),
         };
         for i in 0..n {
             let q = pq.qualities[i];
@@ -75,12 +85,15 @@ impl ProjectQuality {
     pub fn apply_post(&mut self, dataset: &Dataset, r: ResourceId, tags: &[TagId]) -> f64 {
         let i = r.index();
         self.states[i].push_post(tags);
+        if let Some(rfd) = self.rfds.make_mut(i) {
+            rfd.add_tags(tags);
+        }
         self.counts[i] += 1;
         let q = self.metric.eval(&self.states[i], Some(&dataset.latent[i]));
         self.quality_sum += q - self.qualities[i];
         self.qualities[i] = q;
         self.states[i].record(q);
-        self.oracle_mean.take();
+        *self.oracle[i].get_mut() = STALE;
         q
     }
 
@@ -94,18 +107,24 @@ impl ProjectQuality {
     }
 
     /// Ground-truth quality under the oracle metric. `dataset` must be
-    /// the one this state was built from: the value is computed once per
-    /// state and reused until the next [`ProjectQuality::apply_post`].
+    /// the one this state was built from: each resource's value is
+    /// computed once and reused until a post moves it.
     pub fn oracle_mean_quality(&self, dataset: &Dataset) -> f64 {
-        *self.oracle_mean.get_or_init(|| {
-            let n = self.states.len().max(1) as f64;
-            self.states
-                .iter()
-                .enumerate()
-                .map(|(i, s)| QualityMetric::Oracle.eval(s, Some(&dataset.latent[i])))
-                .sum::<f64>()
-                / n
-        })
+        let n = self.states.len().max(1) as f64;
+        let values = self.states.iter().zip(&self.oracle).enumerate();
+        let sum: f64 = values
+            .map(|(i, (s, memo))| {
+                let mut bits = memo.load(Ordering::Relaxed);
+                if bits == STALE {
+                    bits = QualityMetric::Oracle
+                        .eval(s, Some(&dataset.latent[i]))
+                        .to_bits();
+                    memo.store(bits, Ordering::Relaxed);
+                }
+                f64::from_bits(bits)
+            })
+            .sum();
+        sum / n
     }
 
     /// Resources with quality at or above `tau`.

@@ -3,7 +3,8 @@
 //! [`crate::engine::ITagEngine::snapshot`] captures an [`EngineSnapshot`]:
 //! a typed wrapper over a [`StoreSnapshot`] of every persisted table, the
 //! O(1) reputation snapshot, and one [`ProjectDigest`] per live runtime
-//! (the handful of scalars and the series that exist only in memory).
+//! (the scalars, series and rfds that exist only in memory, the latter
+//! two shared copy-on-write with the runtime — [`crate::shared`]).
 //! All the dashboard reads — [`EngineSnapshot::monitor`],
 //! [`EngineSnapshot::render_table`], [`EngineSnapshot::browse`],
 //! [`EngineSnapshot::export`] — are rebuilt here against the frozen view,
@@ -11,17 +12,17 @@
 //! describe the *same* round boundary, no matter how far the live engine
 //! has advanced since the capture.
 //!
-//! Equivalence contract: at the moment of capture, every snapshot read is
-//! **equal** (full `PartialEq`, floats included) to its live engine
-//! counterpart — `snapshot.monitor(p) == engine.monitor(p)` and likewise
-//! for `browse`/`export`. This leans on the round-boundary invariants the
-//! integrity checker already pins: stored `ResourceRecord.posts/quality`
-//! are bit-copies of the live quality state between rounds, and the rfd
-//! of a resource is exactly its dataset-initial tags plus the stored post
-//! log. The per-digest float fields (`quality_mean`, `oracle_quality`)
-//! are captured as scalars rather than recomputed, because the live mean
-//! is a drifting accumulator — recomputing would be close but not
-//! bit-equal.
+//! These are the only implementation of the dashboard reads: the
+//! engine's `monitor`, `browse_projects` and `export` answer off a fresh
+//! capture, so a served snapshot and a live read at the same epoch agree
+//! by construction. Monitor rows come from the stored
+//! `ResourceRecord.posts/quality`, which the integrity checker pins as
+//! bit-copies of the live quality state between rounds. Exports read the
+//! captured rfds; the tests hold them to the dataset-initial tags plus
+//! the stored post log, folded from scratch. The per-digest float fields
+//! (`quality_mean`, `oracle_quality`) are captured as scalars rather than
+//! recomputed, because the live mean is a drifting accumulator —
+//! recomputing would be close but not bit-equal.
 //!
 //! Every read path here is panic-free (`get` + `?`, never indexing): the
 //! server serves these off-lock to untrusted dashboard sessions, and the
@@ -29,10 +30,12 @@
 
 use crate::export::{Export, ExportedResource};
 use crate::monitor::{MonitorSnapshot, ProjectListing, ResourceRow};
-use crate::records::{DatasetRecord, PostRecord, ResourceRecord, TagRecord, UserRecord, UserRole};
+use crate::records::{ResourceRecord, TagRecord, UserRecord, UserRole};
+use crate::shared::{PagedVec, Series};
 use crate::user_mgr::ReputationSnapshot;
 use crate::{EngineError, Result};
-use itag_model::ids::{PostId, ProjectId, ResourceId, TagId};
+use itag_model::ids::{ProjectId, ResourceId, TagId};
+use itag_quality::rfd::Rfd;
 use itag_store::codec::FxHashMap;
 use itag_store::StoreSnapshot;
 use itag_strategy::framework::BudgetPoint;
@@ -63,8 +66,11 @@ pub struct ProjectDigest {
     pub paid: u64,
     pub refunded: u64,
     pub pay_per_task_cents: u32,
-    /// The Fig. 5 quality-over-budget trajectory.
-    pub series: Vec<BudgetPoint>,
+    /// The Fig. 5 quality-over-budget trajectory, sharing the runtime's
+    /// chunks.
+    pub series: Series<BudgetPoint>,
+    /// Each resource's rfd, sharing the runtime's pages.
+    pub rfds: PagedVec<Rfd>,
 }
 
 /// A frozen analytics view of the whole engine (see module docs).
@@ -166,7 +172,7 @@ impl EngineSnapshot {
             paid: d.paid,
             refunded: d.refunded,
             quality_summary: itag_quality::aggregate::QualitySummary::compute(&qualities),
-            series: d.series.clone(),
+            series: d.series.to_vec(),
             rows,
         })
     }
@@ -212,50 +218,22 @@ impl EngineSnapshot {
     }
 
     /// "Export resources with the desired tags", off the frozen view.
-    /// Per-resource consensus tags are reconstructed exactly the way the
-    /// live rfd was built: the dataset's initial posts plus the stored
-    /// post log, counted per tag, most frequent first (ties by tag id).
+    /// Per-resource consensus tags come from the rfds captured in the
+    /// digest, most frequent first (ties by tag id), so the cost is the
+    /// project's resources and tags — never the store's post log.
     pub fn export(&self, project: ProjectId) -> Result<Export> {
         let d = self
             .projects
             .get(&project.0)
             .ok_or(EngineError::UnknownProject(project))?;
-        let dataset = self
-            .store
-            .table::<DatasetRecord>()
-            .get(&project)?
-            .ok_or(EngineError::UnknownProject(project))?
-            .dataset;
-
-        // Fold tag occurrences per resource: initial posts first, then
-        // every stored (approved) post of this project, streamed off the
-        // frozen post log.
-        let mut rfd: FxHashMap<u32, FxHashMap<TagId, u32>> = FxHashMap::default();
-        for post in &dataset.initial_posts {
-            let counts = rfd.entry(post.resource.0).or_default();
-            for &t in &post.tags {
-                *counts.entry(t).or_insert(0) += 1;
-            }
-        }
-        self.store
-            .table::<PostRecord>()
-            .for_each_range(&PostId(0), None, |rec| {
-                if rec.project == project {
-                    let counts = rfd.entry(rec.post.resource.0).or_default();
-                    for &t in &rec.post.tags {
-                        *counts.entry(t).or_insert(0) += 1;
-                    }
-                }
-                true
-            })?;
-
         let tags_table = self.store.table::<TagRecord>();
         let mut tag_texts: FxHashMap<TagId, String> = FxHashMap::default();
         let mut resources = Vec::new();
         for record in self.project_resources(project)? {
-            let mut tag_counts: Vec<(TagId, u32)> = rfd
-                .remove(&record.resource.id.0)
-                .map(|m| m.into_iter().collect())
+            let mut tag_counts: Vec<(TagId, u32)> = d
+                .rfds
+                .get(record.resource.id.index())
+                .map(|rfd| rfd.iter().collect())
                 .unwrap_or_default();
             tag_counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
             let mut tags = Vec::with_capacity(tag_counts.len());
@@ -287,11 +265,14 @@ impl EngineSnapshot {
 
 #[cfg(test)]
 mod tests {
+    use super::*;
     use crate::config::EngineConfig;
     use crate::engine::ITagEngine;
     use crate::project::ProjectSpec;
+    use crate::records::{DatasetRecord, PostRecord};
     use itag_model::delicious::DeliciousConfig;
-    use itag_model::ids::ProjectId;
+    use itag_model::ids::PostId;
+    use itag_store::table::Entity;
 
     fn engine_with_projects(n: u64) -> (ITagEngine, Vec<ProjectId>) {
         let mut config = EngineConfig::in_memory(0x5AB5);
@@ -323,7 +304,6 @@ mod tests {
         assert_eq!(snap.epoch(), e.store_handle().epoch());
         for &p in &ids {
             assert_eq!(snap.monitor(p).unwrap(), e.monitor(p).unwrap());
-            assert_eq!(snap.export(p).unwrap(), e.export(p).unwrap());
             assert_eq!(
                 snap.render_table(p, 10).unwrap(),
                 e.monitor(p).unwrap().render_table(10)
@@ -355,9 +335,98 @@ mod tests {
         assert!(fresh.epoch() > frozen.epoch());
         for &p in &ids {
             assert_eq!(fresh.monitor(p).unwrap(), e.monitor(p).unwrap());
-            assert_eq!(fresh.export(p).unwrap(), e.export(p).unwrap());
         }
         assert_eq!(fresh.browse().unwrap(), e.browse_projects().unwrap());
+    }
+
+    /// The oracle for `export`'s captured rfds: every resource's tags
+    /// folded from the dataset's initial posts plus each stored post of
+    /// the project, ranked the way `export` ranks them.
+    fn export_by_fold(snap: &EngineSnapshot, p: ProjectId) -> Export {
+        let dataset = snap
+            .store
+            .table::<DatasetRecord>()
+            .get(&p)
+            .unwrap()
+            .unwrap()
+            .dataset;
+        let mut rfds = vec![FxHashMap::<TagId, u32>::default(); dataset.len()];
+        let mut fold = |r: ResourceId, tags: &[TagId]| {
+            for &t in tags {
+                *rfds[r.index()].entry(t).or_insert(0) += 1;
+            }
+        };
+        for post in &dataset.initial_posts {
+            fold(post.resource, &post.tags);
+        }
+        let posts = snap.store.table::<PostRecord>();
+        posts
+            .for_each_range(&PostId(0), None, |rec| {
+                if rec.project == p {
+                    fold(rec.post.resource, &rec.post.tags);
+                }
+                true
+            })
+            .unwrap();
+        let texts = snap.store.table::<TagRecord>();
+        let mut want = snap.export(p).unwrap();
+        for (res, rfd) in want.resources.iter_mut().zip(rfds) {
+            let mut counts: Vec<(TagId, u32)> = rfd.into_iter().collect();
+            counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+            res.tags = counts
+                .into_iter()
+                .map(|(t, c)| (texts.get(&t).unwrap().unwrap().text, c))
+                .collect();
+        }
+        want
+    }
+
+    /// Exports off captured rfds equal the post-log fold and the live
+    /// export, round after round, including from a capture held while
+    /// the engine moved on.
+    #[test]
+    fn export_equals_the_post_log_fold_across_rounds_and_projects() {
+        let (mut e, ids) = engine_with_projects(3);
+        let mut held = Vec::new();
+        for round in 0..6 {
+            if round % 2 == 0 {
+                e.run_all(20).unwrap();
+            } else {
+                e.run(ids[round % 3], 25).unwrap();
+            }
+            let snap = e.snapshot();
+            for &p in &ids {
+                let got = snap.export(p).unwrap();
+                assert_eq!(got, export_by_fold(&snap, p), "round {round}, {p}");
+                assert_eq!(got, e.export(p).unwrap(), "round {round}, {p}");
+            }
+            held.push(snap);
+        }
+        for snap in &held {
+            for &p in &ids {
+                assert_eq!(snap.export(p).unwrap(), export_by_fold(snap, p));
+            }
+        }
+    }
+
+    /// An export reads its project's rows and tags only: other projects'
+    /// posts do not change the entries it reads off the store view.
+    #[test]
+    fn export_reads_do_not_grow_with_other_projects_posts() {
+        let (mut e, ids) = engine_with_projects(2);
+        e.run_all(20).unwrap();
+        let reads_of = |snap: &EngineSnapshot| {
+            let before = snap.store().entries_read();
+            snap.export(ids[0]).unwrap();
+            snap.store().entries_read() - before
+        };
+        let small = e.snapshot();
+        for _ in 0..4 {
+            e.run(ids[1], 25).unwrap();
+        }
+        let large = e.snapshot();
+        assert!(large.store().count(PostRecord::TABLE) > small.store().count(PostRecord::TABLE));
+        assert_eq!(reads_of(&small), reads_of(&large));
     }
 
     /// Unknown projects are clean errors on every snapshot read — the

@@ -8,7 +8,7 @@
 //! [`reliability_gate`] math:
 //!
 //! * **live** ([`UserManager::is_reliable`]) — the stored counters, for
-//!   serial paths and reporting;
+//!   reporting;
 //! * **snapshot** ([`ReputationSnapshot`]) — a frozen round-start view the
 //!   parallel tick reads, immune to the merger committing mid-round;
 //! * **ledger** ([`ReputationLedger`]) — the engine-held incremental
@@ -185,19 +185,6 @@ impl ReputationLedger {
             e.0 += approved;
             e.1 += rejected;
         }
-    }
-
-    /// Applies one decision immediately (the serial `collect_once` path,
-    /// which commits per decision and holds `&mut` engine state — no
-    /// snapshot can be outstanding, so the map is mutated in place).
-    pub fn bump(&mut self, tagger: u32, approved: u32, rejected: u32) {
-        if approved == 0 && rejected == 0 {
-            return;
-        }
-        let counters = Arc::make_mut(&mut self.counters);
-        let e = counters.entry(tagger).or_insert((0, 0));
-        e.0 += approved;
-        e.1 += rejected;
     }
 
     /// Number of taggers with decided submissions (diagnostics/tests).
@@ -972,17 +959,6 @@ mod tests {
         );
         assert_eq!(folded.counters.get(&5).copied(), Some((4, 3)));
         assert_eq!(folded.counters.get(&6).copied(), Some((0, 1)));
-
-        // bump (the serial path) keeps matching the table too.
-        let mut batch = WriteBatch::new();
-        m.stage_decision(&mut batch, 1, 6, true, 4).unwrap();
-        m.table.store().commit(batch).unwrap();
-        m.clear_staged();
-        ledger.bump(6, 1, 0);
-        assert_eq!(
-            *ledger.snapshot().counters,
-            *m.reputation_snapshot().unwrap().counters
-        );
     }
 
     #[test]

@@ -121,13 +121,9 @@ impl ManualPlatform {
 
     fn register(&mut self, tagger: TaggerId) {
         if self.workers.get(tagger).is_none() {
-            // Grow the pool with placeholder behaviours up to this id;
-            // audience members have no behaviour model (they are real).
+            // Audience members have no behaviour model (they are real).
             let behavior = crate::behavior::TaggerBehavior::casual();
-            while self.workers.len() <= tagger.index() {
-                let id = TaggerId(self.workers.len() as u32);
-                self.workers.push(Worker::new(id, behavior));
-            }
+            self.workers.push(Worker::new(tagger, behavior));
         }
     }
 }
@@ -262,6 +258,23 @@ mod tests {
         assert_eq!((worker, pay), (TaggerId(7), 10));
         assert_eq!(p.workers().get(TaggerId(7)).unwrap().stats.approved, 1);
         assert_eq!(p.workers().get(TaggerId(7)).unwrap().stats.earned_cents, 10);
+    }
+
+    #[test]
+    fn registering_a_high_id_adds_one_worker() {
+        // Engine-wide tagger ids start past the seeded population, so the
+        // first audience member can be tagger 600,000.
+        let mut p = ManualPlatform::new(PlatformKind::Facebook);
+        let t = p.publish(ProjectId(1), ResourceId(0), 5);
+        p.submit(t, TaggerId(600_000), vec![TagId(1)]).unwrap();
+        assert_eq!(p.workers().len(), 1);
+        let t = p.publish(ProjectId(1), ResourceId(1), 5);
+        p.submit(t, TaggerId(600_001), vec![TagId(2)]).unwrap();
+        assert_eq!(p.workers().len(), 2);
+        assert_eq!(
+            p.workers().get(TaggerId(600_000)).unwrap().stats.submitted,
+            1
+        );
     }
 
     #[test]

@@ -91,6 +91,9 @@ pub fn run_parallel_tagging(
 /// thread claimed the slot, and the results come back **in input order** —
 /// the caller never sees scheduling. The engine uses this to tick
 /// independent project runtimes concurrently and merge deterministically.
+// Panics only to re-raise a worker's panic, or on a broken slot
+// invariant; engine rounds on the wire reach it.
+// lint: allow(panic-path)
 pub fn scoped_map<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -211,6 +214,9 @@ impl<M> Drop for PoisonOnPanic<'_, M> {
 /// earlier phases run concurrently still reach that state strictly in
 /// input order, so a stateful merge is exactly as deterministic as a
 /// stateless one.
+// Panics only to re-raise a worker's panic, or on a broken slot
+// invariant; engine rounds on the wire reach it.
+// lint: allow(panic-path)
 pub fn pipelined_map<T, A, B, M, R, FW, FO, FP, FM>(
     items: Vec<T>,
     threads: usize,

@@ -2,6 +2,7 @@
 
 use crate::behavior::TaggerBehavior;
 use itag_model::ids::TaggerId;
+use itag_store::codec::FxHashMap;
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -51,6 +52,9 @@ impl Worker {
 #[derive(Debug, Clone, Default)]
 pub struct WorkerPool {
     workers: Vec<Worker>,
+    /// Each worker's position in `workers`, kept once ids stop being
+    /// dense (`workers[i].id == i`); `None` while they are.
+    sparse: Option<FxHashMap<u32, usize>>,
 }
 
 impl WorkerPool {
@@ -76,7 +80,10 @@ impl WorkerPool {
             }
             workers.push(Worker::new(TaggerId(i as u32), behavior));
         }
-        WorkerPool { workers }
+        WorkerPool {
+            workers,
+            sparse: None,
+        }
     }
 
     /// The default demo crowd: mostly casual taggers, some diligent, a few
@@ -100,6 +107,7 @@ impl WorkerPool {
             workers: (0..n)
                 .map(|i| Worker::new(TaggerId(i as u32), behavior))
                 .collect(),
+            sparse: None,
         }
     }
 
@@ -111,19 +119,36 @@ impl WorkerPool {
         self.workers.is_empty()
     }
 
-    /// Appends a worker (ids are expected to stay dense; used by the
-    /// audience platform's on-demand registration).
+    /// Adds a worker under its own id, in O(1). Ids need not be dense:
+    /// the audience platform registers members on demand under their
+    /// engine-wide ids, which can start anywhere, and the first id that
+    /// is not the next dense one switches the pool to an id index. The
+    /// id must not be in the pool yet.
     pub fn push(&mut self, worker: Worker) {
-        debug_assert_eq!(worker.id.index(), self.workers.len(), "dense worker ids");
+        if self.sparse.is_none() && worker.id.index() != self.workers.len() {
+            let index = self.workers.iter().enumerate();
+            self.sparse = Some(index.map(|(i, w)| (w.id.0, i)).collect());
+        }
+        if let Some(index) = &mut self.sparse {
+            index.insert(worker.id.0, self.workers.len());
+        }
         self.workers.push(worker);
     }
 
+    fn position(&self, id: TaggerId) -> Option<usize> {
+        match &self.sparse {
+            Some(index) => index.get(&id.0).copied(),
+            None => Some(id.index()),
+        }
+    }
+
     pub fn get(&self, id: TaggerId) -> Option<&Worker> {
-        self.workers.get(id.index())
+        self.workers.get(self.position(id)?)
     }
 
     pub fn get_mut(&mut self, id: TaggerId) -> Option<&mut Worker> {
-        self.workers.get_mut(id.index())
+        let i = self.position(id)?;
+        self.workers.get_mut(i)
     }
 
     pub fn iter(&self) -> impl Iterator<Item = &Worker> {
@@ -184,6 +209,21 @@ mod tests {
         }
         assert!(pool.get(TaggerId(9)).is_some());
         assert!(pool.get(TaggerId(10)).is_none());
+    }
+
+    #[test]
+    fn sparse_ids_are_indexed_not_padded() {
+        let mut pool = WorkerPool::uniform(2, TaggerBehavior::casual());
+        pool.push(Worker::new(TaggerId(600_000), TaggerBehavior::casual()));
+        pool.push(Worker::new(TaggerId(7), TaggerBehavior::casual()));
+        assert_eq!(pool.len(), 4);
+        for id in [0, 1, 7, 600_000] {
+            assert_eq!(pool.get(TaggerId(id)).map(|w| w.id), Some(TaggerId(id)));
+        }
+        pool.get_mut(TaggerId(7)).unwrap().stats.approved = 1;
+        assert_eq!(pool.get(TaggerId(7)).unwrap().stats.approved, 1);
+        assert!(pool.get(TaggerId(2)).is_none());
+        assert!(pool.get(TaggerId(599_999)).is_none());
     }
 
     #[test]

@@ -203,3 +203,76 @@ fn full_queue_sheds_with_busy() {
     let report = handle.shutdown();
     assert!(report.stats.shed >= 1, "shed counter records the refusal");
 }
+
+/// A wire round is one WAL frame: on a strict-sync durable engine a
+/// 40-task `RunRound` moves `wal_syncs` by exactly one and a `Collect` by
+/// at most one, and a reopen answers the checksum the client was given.
+#[test]
+fn a_wire_round_costs_one_fsync() {
+    let dir = itag_store::testutil::TestDir::new("loopback-one-fsync");
+    let mut config = EngineConfig::durable(SEED, dir.path().to_path_buf());
+    if let itag_core::config::StorageConfig::Durable { durability, .. } = &mut config.storage {
+        *durability = itag_store::Durability::Sync;
+    }
+    let engine = ITagEngine::new(config.clone()).expect("engine");
+    let store = engine.store_handle();
+    let handle = serve(engine, "127.0.0.1:0", ServerConfig::default()).expect("serve");
+    let mut c = Client::connect(handle.addr()).expect("connect");
+    let mut call = |req: Request| {
+        let resp = c.call(&req).expect("wire call");
+        assert!(!matches!(resp, Response::Error(_)), "{req:?}: {resp:?}");
+        resp
+    };
+    let mut setup = script();
+    setup.truncate(2); // provider + simulated campaign 0
+    setup.extend([
+        Request::CreateProject {
+            provider: 0,
+            spec: ProjectSpec::demo("wire-audience", 40),
+            dataset: DatasetSpec::small(12),
+            audience: true,
+        },
+        Request::PublishBatch {
+            project: ProjectId(1),
+            want: 8,
+        },
+    ]);
+    for req in setup {
+        call(req);
+    }
+    for task in 0..4u64 {
+        call(Request::SubmitPost {
+            project: ProjectId(1),
+            task,
+            tagger: TaggerId(3),
+            tags: vec![TagId(task as u32), TagId(7)],
+        });
+    }
+
+    let syncs = || store.stats().wal_syncs;
+    let before = syncs();
+    let round = call(Request::RunRound {
+        project: ProjectId(0),
+        max_tasks: 40,
+    });
+    assert!(matches!(round, Response::RunDone { summary } if summary.issued == 40));
+    assert_eq!(syncs() - before, 1, "a 40-task round is one fsync");
+    for decided in [4, 0] {
+        let before = syncs();
+        let collected = call(Request::Collect {
+            project: ProjectId(1),
+        });
+        assert!(matches!(
+            collected,
+            Response::Collected { approved, rejected } if approved + rejected == decided
+        ));
+        assert!(syncs() - before <= 1, "a Collect is at most one fsync");
+    }
+
+    let digest = c.checksum().expect("checksum");
+    c.quit().expect("quit");
+    drop(handle.shutdown());
+    drop(store);
+    let reopened = ITagEngine::new(config).expect("reopen");
+    assert_eq!(reopened.store_checksum(), digest);
+}

@@ -38,6 +38,7 @@ use crate::table::{Entity, KeyCodec};
 use crate::{serbin, TableId};
 use bytes::Bytes;
 use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// An immutable point-in-time view of every table (see module docs).
@@ -52,6 +53,9 @@ struct SnapshotInner {
     /// The captured shard partitions, routed exactly like the live store
     /// (same hash, same shard count), so per-key reads touch one part.
     shards: Vec<Memtable>,
+    /// Entries read through this view and its clones: one per point
+    /// lookup, one per pair a scan visits.
+    entries_read: AtomicU64,
 }
 
 impl std::fmt::Debug for StoreSnapshot {
@@ -66,7 +70,11 @@ impl std::fmt::Debug for StoreSnapshot {
 impl StoreSnapshot {
     pub(crate) fn assemble(epoch: u64, shards: Vec<Memtable>) -> Self {
         StoreSnapshot {
-            inner: Arc::new(SnapshotInner { epoch, shards }),
+            inner: Arc::new(SnapshotInner {
+                epoch,
+                shards,
+                entries_read: AtomicU64::new(0),
+            }),
         }
     }
 
@@ -80,9 +88,23 @@ impl StoreSnapshot {
         self.inner.shards.iter()
     }
 
+    fn count_reads(&self, n: usize) {
+        self.inner
+            .entries_read
+            .fetch_add(n as u64, Ordering::Relaxed);
+    }
+
+    /// Entries read through this view (shared by its clones) — the
+    /// snapshot-side counterpart of [`crate::StoreStats`]'s gets and
+    /// scans, which count live-store reads only.
+    pub fn entries_read(&self) -> u64 {
+        self.inner.entries_read.load(Ordering::Relaxed)
+    }
+
     /// Point lookup. The returned [`Bytes`] is a zero-copy handle onto
     /// the captured buffer.
     pub fn get(&self, table: TableId, key: &[u8]) -> Option<Bytes> {
+        self.count_reads(1);
         let s = db::route(self.inner.shards.len(), table, key);
         self.inner.shards[s]
             .get(&table)
@@ -92,6 +114,7 @@ impl StoreSnapshot {
 
     /// True if `key` exists in `table`.
     pub fn contains(&self, table: TableId, key: &[u8]) -> bool {
+        self.count_reads(1);
         let s = db::route(self.inner.shards.len(), table, key);
         self.inner.shards[s]
             .get(&table)
@@ -100,10 +123,12 @@ impl StoreSnapshot {
 
     /// All pairs whose key starts with `prefix`, in key order.
     pub fn scan_prefix(&self, table: TableId, prefix: &[u8]) -> Vec<(Bytes, Bytes)> {
-        db::merged_parts(self.parts(), table, prefix, None)
+        let pairs: Vec<_> = db::merged_parts(self.parts(), table, prefix, None)
             .take_while(|(k, _)| k.starts_with(prefix))
             .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
+            .collect();
+        self.count_reads(pairs.len());
+        pairs
     }
 
     /// Pairs in `[from, to)` (`to = None` means unbounded), in key order.
@@ -113,9 +138,11 @@ impl StoreSnapshot {
         from: &[u8],
         to: Option<&[u8]>,
     ) -> Vec<(Bytes, Bytes)> {
-        db::merged_parts(self.parts(), table, from, to)
+        let pairs: Vec<_> = db::merged_parts(self.parts(), table, from, to)
             .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
+            .collect();
+        self.count_reads(pairs.len());
+        pairs
     }
 
     /// Every pair in `table`, in key order.
@@ -131,11 +158,14 @@ impl StoreSnapshot {
     where
         F: FnMut(&Bytes, &Bytes) -> bool,
     {
+        let mut visited = 0;
         for (k, v) in db::merged_parts(self.parts(), table, from, to) {
+            visited += 1;
             if !f(k, v) {
                 break;
             }
         }
+        self.count_reads(visited);
     }
 
     /// Number of keys in `table`.

@@ -189,10 +189,51 @@ fn parallel_rounds_preserve_integrity_and_money_conservation() {
     }
 }
 
+/// One lone campaign driven by `rounds`, and what it ended as.
+fn solo_campaign(
+    rounds: impl FnOnce(&mut ITagEngine, ProjectId) -> Vec<(ProjectId, RunSummary)>,
+) -> RoundOutput {
+    let mut config = EngineConfig::in_memory(0xD17E);
+    config.workers = 16;
+    config.spammer_fraction = 0.25;
+    let mut e = ITagEngine::new(config).unwrap();
+    let provider = e.register_provider("solo").unwrap();
+    let p = e
+        .add_project(provider, ProjectSpec::demo("solo", 150), dataset(0xD17E))
+        .unwrap();
+    let summaries = rounds(&mut e, p);
+    (
+        summaries,
+        vec![e.monitor(p).unwrap()],
+        vec![e.worker_balances(p).unwrap()],
+        e.store_checksum(),
+    )
+}
+
+#[test]
+fn run_is_run_all_over_one_project() {
+    // `run(p)` is the round `run_all` runs, over the set {p}: the same
+    // per-project RNG stream, reputation snapshot and single frame, so a
+    // lone campaign ends bit-identical either way, at any thread count
+    // and pipeline depth.
+    let base = solo_campaign(|e, p| (0..3).map(|_| (p, e.run(p, 50).unwrap())).collect());
+    for (threads, depth) in [(1usize, 0usize), (2, 2), (8, 1)] {
+        let all = solo_campaign(|e, _| {
+            (0..3)
+                .flat_map(|_| e.run_all_with(50, threads, depth).unwrap())
+                .collect()
+        });
+        assert_equal(
+            &base,
+            &all,
+            &format!("run vs run_all, {threads} threads, depth {depth}"),
+        );
+    }
+}
+
 #[test]
 fn sequential_and_parallel_paths_can_interleave() {
-    // run() (engine-global RNG) and run_all() (per-project RNG) are
-    // different streams by design, but mixing them must keep every
+    // Single-project rounds between whole-engine rounds must keep every
     // invariant: budgets, integrity, and the ability to finish a project
     // either way.
     let (mut e, projects) = build_engine();
@@ -215,12 +256,11 @@ fn group_commit_batching_is_identical_to_per_project_commits() {
     // The cross-project group commit (EngineConfig::commit_batch) folds
     // several projects' merge frames into one store commit. It is a
     // throughput knob only: summaries, monitors, ledgers, and the stored
-    // bytes must be bit-identical to the per-project legacy schedule at
-    // every thread count and pipeline depth. `0` is the documented alias
-    // for `1`.
+    // bytes must be bit-identical to groups of one at every thread count
+    // and pipeline depth. `0` is the documented alias for `1`.
     let base = run_with_batch(1, 0, 2, 60, Some(1));
     let zero = run_with_batch(2, 0, 2, 60, Some(0));
-    assert_equal(&base, &zero, "commit_batch 0 (legacy alias)");
+    assert_equal(&base, &zero, "commit_batch 0 (alias of 1)");
     for threads in [1usize, 2, 8] {
         for depth in [0usize, 2] {
             let other = run_with_batch(threads, depth, 2, 60, Some(8));
