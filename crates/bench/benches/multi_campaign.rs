@@ -1,13 +1,12 @@
 //! Parallel-tick throughput: many concurrent campaigns over Zipf-popular
 //! resources, ticked through `ITagEngine::run_all_with` at 1/2/4/8 threads
-//! and round-pipeline depths 0 (barrier schedule) and 2 (staged projects
-//! drain through a dedicated merger while later projects tick). The
-//! determinism suite guarantees every (threads, depth) cell computes the
-//! same result, so the sweep measures pure scheduling.
+//! and round-pipeline depth 2 (staged projects drain through a dedicated
+//! merger while later projects tick; one thread runs the round inline).
+//! The determinism suite guarantees every thread count computes the same
+//! result, so the sweep measures pure scheduling.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use itag_bench::scenario::{build_multi_campaign, MultiCampaignConfig};
-use itag_core::config::ReputationMode;
 use std::hint::black_box;
 
 fn bench_multi_campaign(c: &mut Criterion) {
@@ -16,37 +15,28 @@ fn bench_multi_campaign(c: &mut Criterion) {
     let name = format!("engine/multi_campaign_{}x{}tasks", cfg.projects, cfg.budget);
     let mut group = c.benchmark_group(&name);
     group.sample_size(10);
-    for pipeline_depth in [0usize, 2] {
-        for threads in [1usize, 2, 4, 8] {
-            group.bench_function(
-                format!("threads_{threads}_pipeline_{pipeline_depth}"),
-                |b| {
-                    b.iter_batched(
-                        || build_multi_campaign(&cfg),
-                        |(mut engine, _projects)| {
-                            let summaries = engine
-                                .run_all_with(cfg.budget, threads, pipeline_depth)
-                                .unwrap();
-                            let issued: u32 = summaries.iter().map(|(_, s)| s.issued).sum();
-                            assert_eq!(issued, total_tasks);
-                            black_box(summaries)
-                        },
-                        BatchSize::PerIteration,
-                    );
+    for threads in [1usize, 2, 4, 8] {
+        group.bench_function(format!("threads_{threads}_pipeline_2"), |b| {
+            b.iter_batched(
+                || build_multi_campaign(&cfg),
+                |(mut engine, _projects)| {
+                    let summaries = engine.run_all_with(cfg.budget, threads, 2).unwrap();
+                    let issued: u32 = summaries.iter().map(|(_, s)| s.issued).sum();
+                    assert_eq!(issued, total_tasks);
+                    black_box(summaries)
                 },
+                BatchSize::PerIteration,
             );
-        }
+        });
     }
     group.finish();
 }
 
 /// The large-population scenario: a registered tagger population far
 /// beyond the per-round worker set, the campaign budget split over
-/// several rounds so per-round costs show. The `rescan` reputation
-/// schedule rebuilds the round-start snapshot by scanning that whole
-/// population every round; the `ledger` schedule applies the round's
-/// per-worker deltas instead — the gap between the two cells is exactly
-/// the per-round cost that used to scale with the registered population.
+/// several rounds so per-round costs show. The reputation ledger applies
+/// each round's per-worker deltas, so no per-round cost scales with the
+/// registered population.
 fn bench_large_population(c: &mut Criterion) {
     let rounds = 5u32;
     let cfg = MultiCampaignConfig {
@@ -66,27 +56,21 @@ fn bench_large_population(c: &mut Criterion) {
     );
     let mut group = c.benchmark_group(&name);
     group.sample_size(10);
-    for mode in [ReputationMode::Ledger, ReputationMode::Rescan] {
-        let cfg = MultiCampaignConfig {
-            reputation: Some(mode),
-            ..cfg.clone()
-        };
-        group.bench_function(format!("{mode:?}").to_lowercase(), |b| {
-            b.iter_batched(
-                || build_multi_campaign(&cfg),
-                |(mut engine, _projects)| {
-                    let mut issued = 0u32;
-                    for _ in 0..rounds {
-                        let summaries = engine.run_all_with(per_round, 2, 2).unwrap();
-                        issued += summaries.iter().map(|(_, s)| s.issued).sum::<u32>();
-                    }
-                    assert_eq!(issued, total_tasks);
-                    black_box(issued)
-                },
-                BatchSize::PerIteration,
-            );
-        });
-    }
+    group.bench_function("ledger", |b| {
+        b.iter_batched(
+            || build_multi_campaign(&cfg),
+            |(mut engine, _projects)| {
+                let mut issued = 0u32;
+                for _ in 0..rounds {
+                    let summaries = engine.run_all_with(per_round, 2, 2).unwrap();
+                    issued += summaries.iter().map(|(_, s)| s.issued).sum::<u32>();
+                }
+                assert_eq!(issued, total_tasks);
+                black_box(issued)
+            },
+            BatchSize::PerIteration,
+        );
+    });
     group.finish();
 }
 

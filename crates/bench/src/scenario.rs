@@ -1,6 +1,6 @@
 //! Scenario builders shared by the figure harness and the benches.
 
-use itag_core::config::{EngineConfig, ReputationMode};
+use itag_core::config::EngineConfig;
 use itag_core::engine::ITagEngine;
 use itag_core::project::ProjectSpec;
 use itag_model::delicious::{DeliciousConfig, DeliciousDataset};
@@ -96,13 +96,9 @@ pub struct MultiCampaignConfig {
     /// Registered-but-inactive tagger accounts seeded into the user table
     /// before the campaigns start — the north-star shape where the
     /// registered population dwarfs any round's worker set. Inactive
-    /// accounts influence no decision (the equivalence suite proves it),
-    /// but the `rescan` reputation schedule pays to walk them at every
-    /// round start while the `ledger` schedule never sees them.
+    /// accounts influence no decision, and the engine's reputation ledger
+    /// never tracks them: a round's cost scales with its active workers.
     pub registered_taggers: u32,
-    /// Reputation schedule override (`None` = engine auto: config, then
-    /// `ITAG_REPUTATION`, then the ledger default).
-    pub reputation: Option<ReputationMode>,
     /// Master seed; each campaign derives its own dataset seed.
     pub seed: u64,
 }
@@ -117,7 +113,6 @@ impl Default for MultiCampaignConfig {
             popularity_exponent: 1.0,
             workers: 24,
             registered_taggers: 0,
-            reputation: None,
             seed: 0x5CA1E,
         }
     }
@@ -128,7 +123,6 @@ impl Default for MultiCampaignConfig {
 pub fn build_multi_campaign(cfg: &MultiCampaignConfig) -> (ITagEngine, Vec<ProjectId>) {
     let mut engine_config = EngineConfig::in_memory(cfg.seed);
     engine_config.workers = cfg.workers;
-    engine_config.reputation = cfg.reputation;
     let mut engine = ITagEngine::new(engine_config).expect("in-memory engine");
     if cfg.registered_taggers > 0 {
         // Seed the inactive population well above the live worker-id
@@ -211,8 +205,8 @@ mod tests {
     fn registered_population_and_schedule_do_not_change_outcomes() {
         // The large-population scenario (registered taggers ≫ per-round
         // workers) must produce the same campaign results as the plain
-        // one, in either reputation schedule — the population is pure
-        // scan load for the rescan schedule, never signal.
+        // one, on the inline and the threaded round alike — the
+        // population is never signal.
         let base_cfg = MultiCampaignConfig {
             projects: 2,
             resources: 30,
@@ -223,18 +217,17 @@ mod tests {
         };
         let (mut base, projects) = build_multi_campaign(&base_cfg);
         let base_summaries = base.run_all_on(base_cfg.budget, 2).unwrap();
-        for reputation in [Some(ReputationMode::Ledger), Some(ReputationMode::Rescan)] {
+        for threads in [1usize, 2] {
             let cfg = MultiCampaignConfig {
                 registered_taggers: 2_000,
-                reputation,
                 ..base_cfg.clone()
             };
             let (mut e, p) = build_multi_campaign(&cfg);
             assert_eq!(p, projects);
-            let summaries = e.run_all_on(cfg.budget, 2).unwrap();
+            let summaries = e.run_all_on(cfg.budget, threads).unwrap();
             assert_eq!(
                 summaries, base_summaries,
-                "population/schedule changed outcomes under {reputation:?}"
+                "population changed outcomes at {threads} threads"
             );
         }
     }

@@ -86,16 +86,16 @@ fn render_engine_trace(pipeline_depth: usize) -> String {
 
 #[test]
 fn engine_trajectory_matches_committed_fixture_at_every_pipeline_depth() {
-    // The engine-side golden trace: the round pipeline (off, depth 1,
-    // depth 2) must render the exact same multi-round trajectory, and
-    // that trajectory is pinned as a fixture so RNG-stream or merge-order
+    // The engine-side golden trace: the round pipeline (depth 1, 2 and
+    // 4) must render the exact same multi-round trajectory, and that
+    // trajectory is pinned as a fixture so RNG-stream or merge-order
     // regressions surface as a line diff.
-    let base = render_engine_trace(0);
-    for depth in [1usize, 2] {
+    let base = render_engine_trace(1);
+    for depth in [2usize, 4] {
         assert_eq!(
             base,
             render_engine_trace(depth),
-            "pipeline depth {depth} diverged from the barrier schedule"
+            "pipeline depth {depth} diverged from depth 1"
         );
     }
     let path = engine_fixture_path();

@@ -22,27 +22,6 @@ pub enum StorageConfig {
     },
 }
 
-/// How the engine maintains the round-start reputation view the parallel
-/// tick reads (see `crate::user_mgr::ReputationLedger`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReputationMode {
-    /// Incremental (the default): the engine builds the ledger from the
-    /// tagger table once at open/recovery, then applies each round's
-    /// per-worker decision deltas on the merger thread — per-round cost
-    /// scales with the round's active workers, not the registered
-    /// population.
-    Ledger,
-    /// The pre-ledger escape hatch: rebuild the snapshot by rescanning
-    /// the tagger table at every round start. Kept as the reference
-    /// schedule the equivalence suite compares against; results are
-    /// bit-identical either way.
-    Rescan,
-}
-
-/// Reputation schedule used when neither [`EngineConfig::reputation`] nor
-/// `ITAG_REPUTATION` says otherwise.
-pub const DEFAULT_REPUTATION_MODE: ReputationMode = ReputationMode::Ledger;
-
 /// Engine-wide settings; per-project settings live in
 /// [`crate::project::ProjectSpec`].
 #[derive(Debug, Clone)]
@@ -75,26 +54,6 @@ pub struct EngineConfig {
     /// available parallelism capped at 8. The tick is deterministic in the
     /// thread count, so this is purely a throughput knob.
     pub threads: usize,
-    /// Enables the store's decoded-entity cache. Purely a throughput knob:
-    /// results are bit-identical either way (`ITAG_NO_CACHE=1` forces it
-    /// off regardless, which the CI matrix uses to prove it).
-    pub entity_cache: bool,
-    /// Round-pipeline depth for [`crate::engine::ITagEngine::run_all`]:
-    /// how many staged projects may queue ahead of the merger thread
-    /// before staging blocks (back-pressure). `Some(0)` disables the
-    /// pipeline (the pre-pipeline barrier schedule); `None` = auto: the
-    /// `ITAG_PIPELINE` environment variable if set (`0` = off, `n` =
-    /// depth `n`), else [`DEFAULT_PIPELINE_DEPTH`]. Results are
-    /// bit-identical at every depth — a throughput knob only.
-    pub pipeline_depth: Option<usize>,
-    /// Reputation-snapshot schedule for
-    /// [`crate::engine::ITagEngine::run_all`]: `Some(Ledger)` maintains
-    /// the round-start view incrementally, `Some(Rescan)` rebuilds it by
-    /// scanning the tagger table each round; `None` = auto: the
-    /// `ITAG_REPUTATION` environment variable if set (`ledger`/`rescan`),
-    /// else [`DEFAULT_REPUTATION_MODE`]. Results are bit-identical in
-    /// either mode — a throughput knob only.
-    pub reputation: Option<ReputationMode>,
     /// Cross-project group-commit budget for
     /// [`crate::engine::ITagEngine::run_all`]: how many projects' merge
     /// frames the merger folds into **one** WAL frame + fsync before
@@ -109,8 +68,11 @@ pub struct EngineConfig {
     pub storage: StorageConfig,
 }
 
-/// Pipeline depth used when neither [`EngineConfig::pipeline_depth`] nor
-/// `ITAG_PIPELINE` says otherwise.
+/// Round-pipeline depth of [`crate::engine::ITagEngine::run_all`]: how
+/// many staged projects may queue ahead of the merger thread before
+/// staging blocks (back-pressure). Results are bit-identical at every
+/// depth; [`crate::engine::ITagEngine::run_all_with`] takes an explicit
+/// depth for the determinism sweep.
 pub const DEFAULT_PIPELINE_DEPTH: usize = 2;
 
 /// Group-commit budget used when neither [`EngineConfig::commit_batch`]
@@ -136,9 +98,6 @@ impl Default for EngineConfig {
             max_ticks_per_batch: 100_000,
             enforce_reliability: true,
             threads: 0,
-            entity_cache: true,
-            pipeline_depth: None,
-            reputation: None,
             commit_batch: None,
             storage: StorageConfig::InMemory,
         }
@@ -153,13 +112,6 @@ impl Default for EngineConfig {
 pub struct EnvOverrides {
     /// `ITAG_THREADS`: worker threads for the parallel tick (≥ 1).
     pub threads: Option<usize>,
-    /// `ITAG_PIPELINE`: round-pipeline depth (`0` = pipeline off).
-    pub pipeline_depth: Option<usize>,
-    /// `ITAG_NO_CACHE`: force the decoded-entity cache off.
-    pub no_cache: Option<bool>,
-    /// `ITAG_REPUTATION`: reputation-snapshot schedule
-    /// (`ledger`/`rescan`).
-    pub reputation: Option<ReputationMode>,
     /// `ITAG_COMMIT_BATCH`: cross-project group-commit budget
     /// (`0`/`1` = one frame per project).
     pub commit_batch: Option<usize>,
@@ -171,9 +123,6 @@ impl EnvOverrides {
         let var = |name: &str| std::env::var(name).ok();
         Ok(EnvOverrides {
             threads: parse_threads(var("ITAG_THREADS").as_deref())?,
-            pipeline_depth: parse_pipeline(var("ITAG_PIPELINE").as_deref())?,
-            no_cache: parse_no_cache(var("ITAG_NO_CACHE").as_deref())?,
-            reputation: parse_reputation(var("ITAG_REPUTATION").as_deref())?,
             commit_batch: parse_commit_batch(var("ITAG_COMMIT_BATCH").as_deref())?,
         })
     }
@@ -191,21 +140,6 @@ pub fn parse_threads(raw: Option<&str>) -> std::result::Result<Option<usize>, St
         Ok(n) if n >= 1 => Ok(Some(n)),
         _ => Err(format!(
             "ITAG_THREADS={raw:?} is not a valid thread count (expected an integer >= 1)"
-        )),
-    }
-}
-
-/// Parses `ITAG_PIPELINE`: a pipeline depth (`0` = off), or unset
-/// (empty counts as unset, matching the other knobs).
-pub fn parse_pipeline(raw: Option<&str>) -> std::result::Result<Option<usize>, String> {
-    let Some(raw) = raw else { return Ok(None) };
-    if raw.trim().is_empty() {
-        return Ok(None);
-    }
-    match raw.trim().parse::<usize>() {
-        Ok(n) => Ok(Some(n)),
-        Err(_) => Err(format!(
-            "ITAG_PIPELINE={raw:?} is not a valid pipeline depth (expected an integer; 0 disables)"
         )),
     }
 }
@@ -251,32 +185,6 @@ pub fn env_snapshot_reads() -> std::result::Result<Option<bool>, String> {
     parse_snapshot_reads(std::env::var("ITAG_SNAPSHOT_READS").ok().as_deref())
 }
 
-/// Parses `ITAG_NO_CACHE`: `1`/`true` force the cache off, `0`/`false`
-/// leave it alone, unset/empty means unset, anything else is an error.
-///
-/// Delegates to [`itag_store::envknob::parse_no_cache`] — one grammar for
-/// the knob whether the raw store or the engine reads it. The two layers
-/// differ only in error posture: the engine surfaces the `Err` loudly
-/// here, the store maps it to "cache off" (see `envknob`'s module docs).
-pub fn parse_no_cache(raw: Option<&str>) -> std::result::Result<Option<bool>, String> {
-    itag_store::envknob::parse_no_cache(raw)
-}
-
-/// Parses `ITAG_REPUTATION`: `ledger` or `rescan`, case-insensitive;
-/// unset/empty means unset (auto), anything else is an error — the same
-/// strict contract as the other knobs.
-pub fn parse_reputation(raw: Option<&str>) -> std::result::Result<Option<ReputationMode>, String> {
-    let Some(raw) = raw else { return Ok(None) };
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "" => Ok(None),
-        "ledger" => Ok(Some(ReputationMode::Ledger)),
-        "rescan" => Ok(Some(ReputationMode::Rescan)),
-        _ => Err(format!(
-            "ITAG_REPUTATION={raw:?} is not a valid reputation schedule (expected ledger or rescan)"
-        )),
-    }
-}
-
 impl EngineConfig {
     /// In-memory config with a given seed (the common bench setup).
     pub fn in_memory(seed: u64) -> Self {
@@ -319,32 +227,12 @@ mod tests {
         assert_eq!(parse_threads(None).unwrap(), None);
         assert_eq!(parse_threads(Some("1")).unwrap(), Some(1));
         assert_eq!(parse_threads(Some(" 8 ")).unwrap(), Some(8));
-        assert_eq!(parse_pipeline(None).unwrap(), None);
-        assert_eq!(parse_pipeline(Some("0")).unwrap(), Some(0));
-        assert_eq!(parse_pipeline(Some("3")).unwrap(), Some(3));
-        assert_eq!(parse_no_cache(None).unwrap(), None);
-        assert_eq!(parse_no_cache(Some("1")).unwrap(), Some(true));
-        assert_eq!(parse_no_cache(Some("true")).unwrap(), Some(true));
-        assert_eq!(parse_no_cache(Some("0")).unwrap(), Some(false));
-        assert_eq!(parse_no_cache(Some("false")).unwrap(), Some(false));
         assert_eq!(parse_commit_batch(None).unwrap(), None);
         assert_eq!(parse_commit_batch(Some("0")).unwrap(), Some(0));
         assert_eq!(parse_commit_batch(Some(" 16 ")).unwrap(), Some(16));
-        assert_eq!(parse_reputation(None).unwrap(), None);
-        assert_eq!(
-            parse_reputation(Some("ledger")).unwrap(),
-            Some(ReputationMode::Ledger)
-        );
-        assert_eq!(
-            parse_reputation(Some(" Rescan ")).unwrap(),
-            Some(ReputationMode::Rescan)
-        );
         // `VAR=` in a shell means "cleared", not garbage — empty (or
         // whitespace) parses as unset for every knob.
         assert_eq!(parse_threads(Some("")).unwrap(), None);
-        assert_eq!(parse_pipeline(Some(" ")).unwrap(), None);
-        assert_eq!(parse_no_cache(Some("")).unwrap(), None);
-        assert_eq!(parse_reputation(Some("")).unwrap(), None);
         assert_eq!(parse_commit_batch(Some(" ")).unwrap(), None);
     }
 
@@ -359,21 +247,6 @@ mod tests {
         }
         // 0 threads is as invalid as garbage.
         assert!(parse_threads(Some("0")).unwrap_err().contains("\"0\""));
-        for bad in ["on", "-2", "two"] {
-            let err = parse_pipeline(Some(bad)).unwrap_err();
-            assert!(err.contains("ITAG_PIPELINE") && err.contains(bad), "{err}");
-        }
-        for bad in ["yes", "2", "disable"] {
-            let err = parse_no_cache(Some(bad)).unwrap_err();
-            assert!(err.contains("ITAG_NO_CACHE") && err.contains(bad), "{err}");
-        }
-        for bad in ["full", "0", "incremental"] {
-            let err = parse_reputation(Some(bad)).unwrap_err();
-            assert!(
-                err.contains("ITAG_REPUTATION") && err.contains(bad),
-                "{err}"
-            );
-        }
         for bad in ["many", "-4", "2.5"] {
             let err = parse_commit_batch(Some(bad)).unwrap_err();
             assert!(

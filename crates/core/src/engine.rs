@@ -8,7 +8,7 @@
 //! system path the demo exercises; the `itag-strategy` simulator is the
 //! algorithm path the figures sweep.
 
-use crate::config::{EngineConfig, EnvOverrides, ReputationMode, StorageConfig};
+use crate::config::{EngineConfig, EnvOverrides, StorageConfig, DEFAULT_PIPELINE_DEPTH};
 use crate::monitor::{MonitorSnapshot, ResourceDetail};
 use crate::notify::{Notification, NotificationQueue};
 use crate::project::{ProjectRecord, ProjectSpec, ProjectState};
@@ -244,10 +244,10 @@ fn stage_project_effects(
 
 /// Hands a ticked project its block of global post ids off the shared
 /// counter. Called in strict project-id order — the pipeline's ordered
-/// handoff, or the barrier path's serial loop — so the blocks are
-/// identical at every thread count and pipeline depth. Failed ticks
-/// consume no ids. (`Relaxed` suffices: calls are already serialized by
-/// the caller, and the final read happens after the scope joins.)
+/// handoff — so the blocks are identical at every thread count and
+/// pipeline depth. Failed ticks consume no ids. (`Relaxed` suffices:
+/// calls are already serialized by the caller, and the final read
+/// happens after the scope joins.)
 fn assign_post_base(
     next_post: &AtomicU64,
     id: u32,
@@ -356,7 +356,7 @@ fn merge_into_group(
     users: &UserManager,
     projects: &TypedTable<ProjectRecord>,
     store: &Store,
-    ledger: Option<&ReputationLedger>,
+    ledger: &ReputationLedger,
     budget: usize,
     group: &mut GroupCommit,
     job: MergeJob,
@@ -391,7 +391,7 @@ fn merge_into_group(
 fn flush_group(
     users: &UserManager,
     store: &Store,
-    ledger: Option<&ReputationLedger>,
+    ledger: &ReputationLedger,
     group: &mut GroupCommit,
 ) {
     let batch = std::mem::take(&mut group.batch);
@@ -407,9 +407,7 @@ fn flush_group(
     match committed {
         Ok(()) => {
             for m in members {
-                if let Some(ledger) = ledger {
-                    ledger.apply(&m.deltas);
-                }
+                ledger.apply(&m.deltas);
                 group
                     .outcomes
                     .insert(m.project, (Ok(m.summary), m.notifications));
@@ -671,15 +669,13 @@ pub struct ITagEngine {
     runtimes: FxHashMap<u32, ProjectRuntime>,
     config: EngineConfig,
     /// Environment overrides, validated once at construction — garbage in
-    /// `ITAG_THREADS`/`ITAG_PIPELINE`/`ITAG_NO_CACHE`/`ITAG_REPUTATION`
-    /// fails `new` loudly.
+    /// `ITAG_THREADS`/`ITAG_COMMIT_BATCH` fails `new` loudly.
     env: EnvOverrides,
-    /// The incremental reputation ledger (`ITAG_REPUTATION=ledger`, the
-    /// default): built from the tagger table once at open/recovery, kept
-    /// current by the merger applying each committed round's deltas.
-    /// `None` in rescan mode, and when reliability enforcement is off
-    /// (the gate is never read, so nothing needs maintaining).
-    reputation: Option<ReputationLedger>,
+    /// The incremental reputation ledger: built from the tagger table
+    /// once at open/recovery, kept current by the merger applying each
+    /// committed round's deltas — in every config, so a
+    /// [`ITagEngine::snapshot`] always carries the true gate.
+    reputation: ReputationLedger,
     rng: StdRng,
     notifications: NotificationQueue,
     next_post_id: u64,
@@ -694,16 +690,8 @@ impl ITagEngine {
     /// [`ITagEngine::resume_project`].
     pub fn new(config: EngineConfig) -> Result<Self> {
         let env = EnvOverrides::from_env().map_err(EngineError::Config)?;
-        // The engine owns its store, so the validated `ITAG_NO_CACHE`
-        // override is applied here through `StoreOptions` — one parser,
-        // one decision (the store's own env fallback only matters for
-        // raw `Store` users).
-        let entity_cache = config.entity_cache && !env.no_cache.unwrap_or(false);
         let store = Arc::new(match &config.storage {
-            StorageConfig::InMemory => Store::in_memory_with(StoreOptions {
-                entity_cache,
-                ..StoreOptions::default()
-            }),
+            StorageConfig::InMemory => Store::in_memory(),
             StorageConfig::Durable {
                 dir,
                 durability,
@@ -715,7 +703,6 @@ impl ITagEngine {
                     durability: *durability,
                     sync_policy: *sync_policy,
                     checkpoint_every: *checkpoint_every,
-                    entity_cache,
                     ..StoreOptions::default()
                 },
             )?,
@@ -743,17 +730,11 @@ impl ITagEngine {
             .unwrap_or(0);
         let next_tagger_id = users.taggers()?.iter().map(|u| u.id + 1).max().unwrap_or(0);
 
-        // Build-once for the incremental schedule: one tagger-range scan
-        // here (which after a crash is the recovery rebuild — the WAL
-        // replay restored the table, this restores the ledger), then the
-        // merge phase's deltas keep it current; no per-round rescans.
-        let reputation_mode = resolve_reputation_mode(&config, &env);
-        let reputation = if config.enforce_reliability && reputation_mode == ReputationMode::Ledger
-        {
-            Some(users.reputation_ledger()?)
-        } else {
-            None
-        };
+        // Build once: one tagger-range scan here (which after a crash is
+        // the recovery rebuild — the WAL replay restored the table, this
+        // restores the ledger), then the merge phase's deltas keep it
+        // current; no per-round rescans.
+        let reputation = users.reputation_ledger()?;
 
         let rng = StdRng::seed_from_u64(config.seed);
         Ok(ITagEngine {
@@ -1116,8 +1097,7 @@ impl ITagEngine {
     /// It runs inline at any thread count, so this skips resolving one (a
     /// cgroup probe per call).
     fn round_of(&mut self, project: ProjectId, tick: Tick) -> Result<RunSummary> {
-        let depth = self.resolved_pipeline_depth();
-        self.round(vec![project.0], tick, 1, depth)?
+        self.round(vec![project.0], tick, 1, DEFAULT_PIPELINE_DEPTH)?
             .pop()
             .map(|(_, s)| s)
             .ok_or(EngineError::UnknownProject(project))
@@ -1125,8 +1105,8 @@ impl ITagEngine {
 
     /// Ticks every `Running` project concurrently — Algorithm 1 per
     /// project, up to `max_tasks` tasks each — across `threads` scoped
-    /// worker threads, with the round pipeline at the resolved depth
-    /// ([`ITagEngine::resolved_pipeline_depth`]). Non-running projects
+    /// worker threads, with the round pipeline at
+    /// [`crate::config::DEFAULT_PIPELINE_DEPTH`]. Non-running projects
     /// are skipped. Returns `(project, summary)` pairs in project-id
     /// order.
     pub fn run_all_on(
@@ -1134,21 +1114,19 @@ impl ITagEngine {
         max_tasks: u32,
         threads: usize,
     ) -> Result<Vec<(ProjectId, RunSummary)>> {
-        let depth = self.resolved_pipeline_depth();
-        self.run_all_with(max_tasks, threads, depth)
+        self.run_all_with(max_tasks, threads, DEFAULT_PIPELINE_DEPTH)
     }
 
     /// [`ITagEngine::run_all_on`] with an explicit pipeline depth.
     ///
-    /// `pipeline_depth = 0` runs the barrier schedule: tick every project,
-    /// then stage every project, then merge+commit every project — each
-    /// phase completes before the next begins. `pipeline_depth = n ≥ 1`
-    /// overlaps them: worker threads tick and stage projects while a
-    /// dedicated merger thread drains staged projects **in project-id
-    /// order**, at most `n` projects behind the workers (back-pressure).
-    /// The serial merge of project `k` thus runs concurrently with the
-    /// ticking/staging of projects `> k` instead of stalling every thread
-    /// at a round barrier.
+    /// Worker threads tick and stage projects while a dedicated merger
+    /// thread drains staged projects **in project-id order**, at most
+    /// `pipeline_depth` (min 1) projects behind the workers
+    /// (back-pressure). The serial merge of project `k` thus runs
+    /// concurrently with the ticking/staging of projects `> k` instead of
+    /// stalling every thread at a round barrier. With one thread (or one
+    /// project) every phase runs inline in project-id order — the
+    /// reference schedule the threaded runs must match.
     ///
     /// Determinism contract: each project consumes its own RNG stream;
     /// ticks read cross-project reputation from a **round-start snapshot**
@@ -1158,7 +1136,7 @@ impl ITagEngine {
     /// only its own (later) merge writes; and the merger commits frames in
     /// project-id order. Monitor snapshots, ledgers and
     /// stored bytes are therefore **identical for every thread count and
-    /// every pipeline depth**, including depth 0.
+    /// every pipeline depth**.
     pub fn run_all_with(
         &mut self,
         max_tasks: u32,
@@ -1194,21 +1172,9 @@ impl ITagEngine {
             return Ok(Vec::new());
         }
 
-        // The snapshot's only consumer is the reliability gate inside
-        // `tick_campaign`, itself gated on `enforce_reliability` — skip
-        // building one entirely when the gate is off. With the gate on,
-        // ledger mode hands out the engine-held round-start view in O(1)
-        // (an `Arc` of the maintained counters); rescan mode rebuilds it
-        // from the tagger table — O(registered taggers) — as the
-        // reference schedule.
-        let rep = if self.config.enforce_reliability {
-            match &self.reputation {
-                Some(ledger) => ledger.snapshot(),
-                None => self.users.reputation_snapshot()?,
-            }
-        } else {
-            self.users.empty_reputation_snapshot()
-        };
+        // The round-start reputation view: O(1), an `Arc` of the ledger's
+        // maintained counters.
+        let rep = self.reputation.snapshot();
         // Group commit: up to `commit_budget` consecutive merge frames
         // share one WAL frame + fsync. The mutex is uncontended — only the
         // merge phase touches it, and merges are serial — but it makes the
@@ -1221,7 +1187,7 @@ impl ITagEngine {
             let tags_mgr = &self.tags;
             let resources_mgr = &self.resources;
             let users = &self.users;
-            let ledger = self.reputation.as_ref();
+            let ledger = &self.reputation;
             let projects_tbl = &self.projects;
             let store: &Store = &self.store;
             let next_post = &AtomicU64::new(self.next_post_id);
@@ -1230,8 +1196,8 @@ impl ITagEngine {
             // The four phases of one project's round. `tick` and `stage`
             // run on whichever worker claimed the project; `sequence` runs
             // in project-id order (the ordered handoff); `merge` runs in
-            // project-id order on the merger thread (pipelined) or the
-            // calling thread (barrier path).
+            // project-id order on the merger thread (inline on this thread
+            // for a single-threaded round).
             let tick = |_: usize, (id, mut rt): (u32, ProjectRuntime)| {
                 let outcome = tick_campaign(&mut rt, config, rep, kind);
                 (id, rt, outcome)
@@ -1282,23 +1248,7 @@ impl ITagEngine {
                 (id, rt, round)
             };
 
-            let results: Vec<(u32, ProjectRuntime, RoundResult)> = if pipeline_depth == 0 {
-                // Barrier schedule (the pipeline-off reference): each
-                // phase completes for every project before the next one
-                // starts; merges run on this thread.
-                let ticked = itag_crowd::parallel::scoped_map(work, threads, tick);
-                let sequenced: Vec<_> = ticked
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, t)| sequence(i, t))
-                    .collect();
-                let staged = itag_crowd::parallel::scoped_map(sequenced, threads, stage);
-                staged
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, s)| merge(i, s))
-                    .collect()
-            } else {
+            let results: Vec<(u32, ProjectRuntime, RoundResult)> =
                 itag_crowd::parallel::pipelined_map(
                     work,
                     threads,
@@ -1307,8 +1257,7 @@ impl ITagEngine {
                     sequence,
                     stage,
                     merge,
-                )
-            };
+                );
             // Flush the tail group — the last `< budget` projects of the
             // round, still pending after the final merge call.
             flush_group(users, store, ledger, &mut group.lock());
@@ -1320,11 +1269,9 @@ impl ITagEngine {
         // The round is over and its snapshot is gone: fold the committed
         // deltas into the ledger's counters (in place — no snapshot holds
         // the map any more), so the next round starts from the exact
-        // state a rescan would rebuild.
+        // state a scan of the tagger table would rebuild.
         drop(rep);
-        if let Some(ledger) = self.reputation.as_mut() {
-            ledger.fold_pending();
-        }
+        self.reputation.fold_pending();
 
         // Reinsert the runtimes (their RNG streams carry into the next
         // round) and fold the per-project results in project-id order.
@@ -1387,21 +1334,6 @@ impl ITagEngine {
             .unwrap_or(1)
     }
 
-    /// Round-pipeline depth [`ITagEngine::run_all`] will use (a
-    /// throughput knob only — results do not depend on it; `0` = the
-    /// barrier schedule). `EngineConfig::pipeline_depth`, else the
-    /// `ITAG_PIPELINE` override validated at construction, else
-    /// [`crate::config::DEFAULT_PIPELINE_DEPTH`].
-    pub fn resolved_pipeline_depth(&self) -> usize {
-        if let Some(d) = self.config.pipeline_depth {
-            return d;
-        }
-        if let Some(d) = self.env.pipeline_depth {
-            return d;
-        }
-        crate::config::DEFAULT_PIPELINE_DEPTH
-    }
-
     /// Group-commit budget every round will use: up to this many
     /// projects' merge frames are folded into a single store commit (one
     /// WAL append + fsync) per flush, also bounded by
@@ -1421,22 +1353,12 @@ impl ITagEngine {
         crate::config::DEFAULT_COMMIT_BATCH
     }
 
-    /// Reputation-snapshot schedule this engine runs
-    /// ([`EngineConfig::reputation`], else the `ITAG_REPUTATION` override
-    /// validated at construction, else
-    /// [`crate::config::DEFAULT_REPUTATION_MODE`]). Purely a throughput
-    /// knob: results are bit-identical in either mode.
-    pub fn resolved_reputation_mode(&self) -> ReputationMode {
-        resolve_reputation_mode(&self.config, &self.env)
-    }
-
     /// Registers a population of tagger accounts in bulk (ids
     /// `start..start + count`) — the scale harness for scenarios where
     /// the registered population dwarfs any round's worker set. Existing
     /// records are left untouched. Zero-decision taggers answer the
-    /// reliability gate exactly like unknown ones, so neither reputation
-    /// schedule tracks them — only the rescan schedule pays to skip them
-    /// every round.
+    /// reliability gate exactly like unknown ones, so the reputation
+    /// ledger never tracks them.
     pub fn seed_taggers(&mut self, start: u32, count: u32) -> Result<()> {
         self.users
             .register_bulk(UserRole::Tagger, start, count, "tagger-")?;
@@ -1477,10 +1399,7 @@ impl ITagEngine {
     /// copied ([`itag_store::Store::read_snapshot`]).
     pub fn snapshot(&self) -> EngineSnapshot {
         let store = self.store.read_snapshot();
-        let reputation = match &self.reputation {
-            Some(ledger) => ledger.snapshot(),
-            None => self.users.empty_reputation_snapshot(),
-        };
+        let reputation = self.reputation.snapshot();
         let mut projects = std::collections::BTreeMap::new();
         for rt in self.runtimes.values() {
             let (escrowed, paid, refunded) = rt.ledger.totals();
@@ -1800,17 +1719,6 @@ impl ITagEngine {
         })?;
         Ok(ids)
     }
-}
-
-/// The one place the reputation schedule is resolved (config over env
-/// over default) — `ITagEngine::new` decides whether to build the ledger
-/// with it, and [`ITagEngine::resolved_reputation_mode`] reports it, so
-/// the two can never drift.
-fn resolve_reputation_mode(config: &EngineConfig, env: &EnvOverrides) -> ReputationMode {
-    config
-        .reputation
-        .or(env.reputation)
-        .unwrap_or(crate::config::DEFAULT_REPUTATION_MODE)
 }
 
 fn validate_dataset(dataset: &Dataset) -> Result<()> {
@@ -2363,7 +2271,7 @@ mod tests {
 
     #[test]
     fn run_all_is_identical_across_pipeline_depths() {
-        let outputs: Vec<_> = [0usize, 1, 2, 4]
+        let outputs: Vec<_> = [1usize, 2, 4]
             .into_iter()
             .map(|depth| {
                 let mut e = engine();
@@ -2385,9 +2293,8 @@ mod tests {
                 (summaries, monitors, notes, e.store_checksum())
             })
             .collect();
-        assert_eq!(outputs[0], outputs[1], "barrier vs depth-1 diverged");
-        assert_eq!(outputs[0], outputs[2], "barrier vs depth-2 diverged");
-        assert_eq!(outputs[0], outputs[3], "barrier vs depth-4 diverged");
+        assert_eq!(outputs[0], outputs[1], "depth-1 vs depth-2 diverged");
+        assert_eq!(outputs[0], outputs[2], "depth-1 vs depth-4 diverged");
     }
 
     /// [`SimPlatform`] wrapper whose first `decide` fails — forces one
@@ -2460,7 +2367,7 @@ mod tests {
         // runtime must survive for later rounds, and — because failed
         // ticks consume no post-id block — the follow-up round must be
         // bit-identical at every pipeline depth.
-        let outputs: Vec<_> = [0usize, 1, 2]
+        let outputs: Vec<_> = [1usize, 2, 4]
             .into_iter()
             .map(|depth| {
                 let mut e = engine();
@@ -2509,55 +2416,196 @@ mod tests {
             .collect();
         assert_eq!(
             outputs[0], outputs[1],
-            "depth 0 vs 1 diverged after a tick error"
+            "depth 1 vs 2 diverged after a tick error"
         );
         assert_eq!(
             outputs[0], outputs[2],
-            "depth 0 vs 2 diverged after a tick error"
+            "depth 1 vs 4 diverged after a tick error"
+        );
+    }
+
+    /// The reputation oracle: at a round boundary the engine's maintained
+    /// ledger must equal a fresh scan of the tagger table — the open-time
+    /// build, which is exactly what a per-round rescan would recompute.
+    fn assert_ledger_matches_table(e: &ITagEngine, ctx: &str) {
+        let scanned = e.users.reputation_ledger().unwrap();
+        assert_eq!(
+            *e.reputation.counters, *scanned.counters,
+            "maintained ledger diverged from the tagger table: {ctx}"
+        );
+    }
+
+    /// Three campaigns on a 16-worker pool with a `spam` share of
+    /// spammers (rejections → gate reads), plus `registered` bulk-seeded
+    /// taggers far above the worker-id range.
+    fn oracle_engine(enforce: bool, spam: f64, registered: u32) -> (ITagEngine, Vec<ProjectId>) {
+        let mut config = EngineConfig::in_memory(0x1ED6);
+        config.workers = 16;
+        config.spammer_fraction = spam;
+        config.enforce_reliability = enforce;
+        let mut e = ITagEngine::new(config).unwrap();
+        if registered > 0 {
+            e.seed_taggers(1 << 20, registered).unwrap();
+        }
+        let provider = e.register_provider("oracle").unwrap();
+        let projects = (80..83u64)
+            .map(|seed| {
+                e.add_project(
+                    provider,
+                    ProjectSpec::demo(&format!("oracle-{seed}"), 220),
+                    dataset(seed),
+                )
+                .unwrap()
+            })
+            .collect();
+        (e, projects)
+    }
+
+    /// Parallel rounds with a single-project `run` between them, the
+    /// oracle checked at every boundary; returns everything observable.
+    #[allow(clippy::type_complexity)]
+    fn oracle_rounds(
+        e: &mut ITagEngine,
+        projects: &[ProjectId],
+        threads: usize,
+        depth: usize,
+    ) -> (
+        Vec<(ProjectId, RunSummary)>,
+        Vec<MonitorSnapshot>,
+        usize,
+        u64,
+    ) {
+        let ctx = format!("{threads} threads, depth {depth}");
+        assert_ledger_matches_table(e, &format!("at open, {ctx}"));
+        let mut summaries = Vec::new();
+        for round in 0..3 {
+            summaries.extend(e.run_all_with(50, threads, depth).unwrap());
+            assert_ledger_matches_table(e, &format!("after round {round}, {ctx}"));
+            let s = e.run(projects[round % projects.len()], 20).unwrap();
+            assert_eq!(s.issued, 20);
+            assert_ledger_matches_table(e, &format!("after run {round}, {ctx}"));
+        }
+        let monitors = projects.iter().map(|p| e.monitor(*p).unwrap()).collect();
+        let unreliable = e.unreliable_tagger_count().unwrap();
+        (summaries, monitors, unreliable, e.store_checksum())
+    }
+
+    #[test]
+    fn maintained_ledger_matches_a_table_rescan_at_every_round_boundary() {
+        let (mut e, projects) = oracle_engine(true, 0.25, 0);
+        let base = oracle_rounds(&mut e, &projects, 1, 1);
+        assert!(
+            e.reputation
+                .counters
+                .values()
+                .any(|&(_, rejected)| rejected > 0),
+            "the scenario must reject submissions, so the gate is read"
+        );
+        for threads in [1usize, 2, 8] {
+            for depth in [1usize, 2, 4] {
+                if (threads, depth) == (1, 1) {
+                    continue; // the base cell itself
+                }
+                let (mut e, projects) = oracle_engine(true, 0.25, 0);
+                let other = oracle_rounds(&mut e, &projects, threads, depth);
+                assert_eq!(base, other, "{threads} threads, depth {depth} diverged");
+            }
+        }
+    }
+
+    #[test]
+    fn ledger_is_maintained_and_snapshots_carry_the_gate_with_enforcement_off() {
+        // Nothing reads the gate inside a round with enforcement off, but
+        // the ledger is still kept current, so a snapshot answers
+        // reputation exactly like the live tables.
+        let (mut e, projects) = oracle_engine(false, 1.0, 0);
+        let _ = oracle_rounds(&mut e, &projects, 2, 2);
+        let snap = e.snapshot();
+        let mut unreliable = 0;
+        for t in e.users.taggers().unwrap() {
+            let live = e.is_reliable_tagger(t.id).unwrap();
+            assert_eq!(snap.is_reliable_tagger(t.id), live, "tagger {}", t.id);
+            unreliable += usize::from(!live);
+        }
+        assert!(
+            unreliable > 0,
+            "the scenario must push taggers below the gate"
         );
     }
 
     #[test]
-    fn reputation_ledger_and_rescan_schedules_are_bit_identical() {
-        // The incremental ledger and the per-round rescan must produce
-        // identical engines: multi-round (the fold between rounds feeds
-        // the next round's snapshot), with single-project `run` rounds
-        // mixed in.
-        let outputs: Vec<_> = [ReputationMode::Ledger, ReputationMode::Rescan]
-            .into_iter()
-            .map(|mode| {
-                let mut config = EngineConfig::in_memory(0x1ED6);
-                config.workers = 16;
-                config.spammer_fraction = 0.25;
-                config.reputation = Some(mode);
-                let mut e = ITagEngine::new(config).unwrap();
-                assert_eq!(e.resolved_reputation_mode(), mode);
-                let provider = e.register_provider("mode-equiv").unwrap();
-                let mut projects = Vec::new();
-                for seed in 80..83u64 {
-                    projects.push(
-                        e.add_project(
-                            provider,
-                            ProjectSpec::demo(&format!("mode-{seed}"), 220),
-                            dataset(seed),
-                        )
-                        .unwrap(),
-                    );
-                }
-                let mut summaries = Vec::new();
-                summaries.extend(e.run_all_with(50, 4, 2).unwrap());
-                // A single-project round between parallel rounds must keep
-                // the ledger in lock-step.
-                let s = e.run(projects[0], 20).unwrap();
-                assert_eq!(s.issued, 20);
-                summaries.extend(e.run_all_with(50, 4, 0).unwrap());
-                summaries.extend(e.run_all_with(50, 4, 2).unwrap());
-                let monitors: Vec<_> = projects.iter().map(|p| e.monitor(*p).unwrap()).collect();
-                let unreliable = e.unreliable_tagger_count().unwrap();
-                (summaries, monitors, unreliable, e.store_checksum())
-            })
-            .collect();
-        assert_eq!(outputs[0], outputs[1], "ledger and rescan modes diverged");
+    fn ledger_oracle_holds_over_a_large_seeded_population() {
+        // Registered-but-inactive taggers (a small active fringe in a
+        // large population) never enter the ledger and never change a
+        // decision; only the user table carries the extra rows.
+        let (mut e, projects) = oracle_engine(true, 0.25, 0);
+        let base = oracle_rounds(&mut e, &projects, 2, 2);
+        let (mut e, projects) = oracle_engine(true, 0.25, 5_000);
+        let populated = oracle_rounds(&mut e, &projects, 2, 2);
+        assert_eq!(base.0, populated.0, "inactive accounts influenced a round");
+        assert_eq!(
+            base.1, populated.1,
+            "inactive accounts influenced a monitor"
+        );
+        assert_eq!(base.2, populated.2);
+        assert!(
+            e.reputation.tracked_taggers() <= 16,
+            "seeded zero-decision taggers entered the ledger"
+        );
+    }
+
+    #[test]
+    fn ledger_oracle_survives_a_durable_reopen() {
+        // Rounds, then a drop with the WAL tail live (no checkpoint): the
+        // reopen replays it and rebuilds the ledger, which must equal the
+        // ledger the first life maintained; more rounds, a checkpoint and
+        // a final reopen keep the oracle and the stored bytes.
+        let dir = itag_store::testutil::TestDir::new("ledger-oracle-reopen");
+        let config = || {
+            let mut c = EngineConfig::durable(0xC4A5, dir.path().to_path_buf());
+            c.workers = 16;
+            c.spammer_fraction = 0.25;
+            c
+        };
+        let (projects, maintained) = {
+            let mut e = ITagEngine::new(config()).unwrap();
+            let provider = e.register_provider("durable-oracle").unwrap();
+            let projects: Vec<ProjectId> = (0..3u64)
+                .map(|i| {
+                    e.add_project(
+                        provider,
+                        ProjectSpec::demo(&format!("durable-{i}"), 200),
+                        dataset(0xC4A5 + i),
+                    )
+                    .unwrap()
+                })
+                .collect();
+            for round in 0..2 {
+                e.run_all_with(40, 4, 2).unwrap();
+                assert_ledger_matches_table(&e, &format!("first life, round {round}"));
+            }
+            (projects, e.reputation.counters.clone())
+        };
+        assert!(!maintained.is_empty());
+        let digest = {
+            let mut e = ITagEngine::new(config()).unwrap();
+            assert_eq!(
+                *e.reputation.counters, *maintained,
+                "the recovery rebuild differs from the ledger the first life kept"
+            );
+            for p in &projects {
+                e.resume_project(*p).unwrap();
+            }
+            for round in 0..2 {
+                e.run_all_with(40, 4, 2).unwrap();
+                assert_ledger_matches_table(&e, &format!("after reopen, round {round}"));
+            }
+            e.checkpoint().unwrap();
+            e.store_checksum()
+        };
+        let reopened = ITagEngine::new(config()).unwrap();
+        assert_ledger_matches_table(&reopened, "after checkpoint + reopen");
+        assert_eq!(reopened.store_checksum(), digest);
     }
 
     #[test]
@@ -2594,12 +2642,13 @@ mod tests {
     /// Runs the boundary scenario: exact-boundary reputation counters are
     /// seeded behind the engine's back, the engine is reopened (which is
     /// what rebuilds the ledger from the table), and two parallel rounds
-    /// run at the given depth/mode.
+    /// run at the given thread count and depth, the ledger oracle checked
+    /// after each.
     fn boundary_round_output(
-        mode: ReputationMode,
+        threads: usize,
         depth: usize,
     ) -> (Vec<bool>, Vec<(ProjectId, RunSummary)>, usize, u64) {
-        let dir = itag_store::testutil::TestDir::new(&format!("gate-boundary-{mode:?}-{depth}"));
+        let dir = itag_store::testutil::TestDir::new(&format!("gate-boundary-{threads}-{depth}"));
         let seeded_config = || {
             let mut config = EngineConfig::durable(0xB0DA, dir.path().to_path_buf());
             config.workers = 12;
@@ -2607,9 +2656,7 @@ mod tests {
             config
         };
         {
-            let mut config = seeded_config();
-            config.reputation = Some(ReputationMode::Rescan);
-            let mut e = ITagEngine::new(config).unwrap();
+            let mut e = ITagEngine::new(seeded_config()).unwrap();
             let provider = e.register_provider("boundary").unwrap();
             for (i, seed) in [70u64, 71].into_iter().enumerate() {
                 e.add_project(
@@ -2646,15 +2693,14 @@ mod tests {
                 );
             }
         }
-        let mut config = seeded_config();
-        config.reputation = Some(mode);
-        let mut e = ITagEngine::new(config).unwrap();
+        let mut e = ITagEngine::new(seeded_config()).unwrap();
         for p in e.stored_projects().unwrap() {
             e.resume_project(p).unwrap();
         }
         let mut summaries = Vec::new();
-        for _ in 0..2 {
-            summaries.extend(e.run_all_with(50, 4, depth).unwrap());
+        for round in 0..2 {
+            summaries.extend(e.run_all_with(50, threads, depth).unwrap());
+            assert_ledger_matches_table(&e, &format!("boundary round {round}"));
         }
         let gates = (0..12u32)
             .map(|t| e.is_reliable_tagger(t).unwrap())
@@ -2666,22 +2712,17 @@ mod tests {
     #[test]
     fn gate_boundaries_pin_identically_across_depths_and_modes() {
         // Boundary counters (decided == grace, rate == threshold, one
-        // step either side) must steer every schedule identically:
-        // ledger vs rescan, pipeline depth 0 vs 2 — including the
-        // ledger's reopen/rebuild path, which is how the boundary
-        // counters reach it.
-        let base = boundary_round_output(ReputationMode::Rescan, 0);
-        for mode in [ReputationMode::Ledger, ReputationMode::Rescan] {
-            for depth in [0usize, 2] {
-                if (mode, depth) == (ReputationMode::Rescan, 0) {
-                    continue; // the base cell itself
-                }
-                let other = boundary_round_output(mode, depth);
-                assert_eq!(
-                    base, other,
-                    "boundary rounds diverged at mode {mode:?}, depth {depth}"
-                );
-            }
+        // step either side) must steer every schedule identically — the
+        // inline single-thread round and threaded pipelines at depths 1,
+        // 2 and 4 — including the ledger's reopen/rebuild path, which is
+        // how the boundary counters reach it.
+        let base = boundary_round_output(1, 1);
+        for (threads, depth) in [(4usize, 1usize), (4, 2), (8, 4)] {
+            let other = boundary_round_output(threads, depth);
+            assert_eq!(
+                base, other,
+                "boundary rounds diverged at {threads} threads, depth {depth}"
+            );
         }
     }
 
@@ -2701,10 +2742,7 @@ mod tests {
                 .unwrap();
             if per_project {
                 let mut rt = e.runtimes.remove(&p.0).unwrap();
-                let rep = match &e.reputation {
-                    Some(ledger) => ledger.snapshot(),
-                    None => e.users.reputation_snapshot().unwrap(),
-                };
+                let rep = e.reputation.snapshot();
                 let outcome = tick_campaign(&mut rt, &e.config, &rep, Tick::Run(40));
                 let next = AtomicU64::new(e.next_post_id);
                 let mut job = assign_post_base(&next, p.0, &rt, outcome).unwrap();
@@ -2725,18 +2763,6 @@ mod tests {
             std::fs::read(dir.path().join("db.wal")).unwrap()
         };
         assert_eq!(wal_after(true), wal_after(false));
-    }
-
-    #[test]
-    fn pipeline_depth_resolution_prefers_config() {
-        let mut config = EngineConfig::in_memory(1);
-        config.pipeline_depth = Some(0);
-        let e = ITagEngine::new(config).unwrap();
-        assert_eq!(e.resolved_pipeline_depth(), 0);
-        let mut config = EngineConfig::in_memory(1);
-        config.pipeline_depth = Some(7);
-        let e = ITagEngine::new(config).unwrap();
-        assert_eq!(e.resolved_pipeline_depth(), 7);
     }
 
     #[test]

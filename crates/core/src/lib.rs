@@ -82,8 +82,8 @@ pub enum EngineError {
         extra: u32,
     },
     /// Malformed configuration — e.g. a garbage `ITAG_THREADS` /
-    /// `ITAG_PIPELINE` / `ITAG_NO_CACHE` value, rejected loudly instead
-    /// of silently falling back to a default.
+    /// `ITAG_COMMIT_BATCH` value, rejected loudly instead of silently
+    /// falling back to a default.
     Config(String),
 }
 

@@ -132,12 +132,13 @@ impl DecisionDeltas {
 /// outstanding snapshots keep reading the exact round-start state;
 /// [`ReputationLedger::fold_pending`] (after the round, snapshots
 /// dropped) folds the overlay into the counters in place. Counter deltas
-/// commute, so the folded state is independent of apply order — the
-/// project-id ordering is inherited from the merger for free and keeps
-/// the observable sequence identical to the rescan schedule.
+/// commute, so the folded state is independent of apply order, and at
+/// every round boundary it equals a fresh scan of the tagger table
+/// ([`UserManager::reputation_ledger`]) — the oracle the engine's tests
+/// check it against.
 #[derive(Debug)]
 pub struct ReputationLedger {
-    counters: Arc<FxHashMap<u32, (u32, u32)>>,
+    pub(crate) counters: Arc<FxHashMap<u32, (u32, u32)>>,
     /// Deltas applied during the current round, keyed by tagger.
     pending: Mutex<FxHashMap<u32, (u32, u32)>>,
     threshold: f64,
@@ -489,20 +490,6 @@ impl UserManager {
         ))
     }
 
-    /// Copies every decided tagger's received-decision counters into a
-    /// [`ReputationSnapshot`] by scanning the tagger key range — the
-    /// **rescan** schedule (`ITAG_REPUTATION=rescan`), kept as the
-    /// reference the incremental ledger must match. Streams only the
-    /// tagger key range (the role tag is the leading key component), so
-    /// provider records are never touched.
-    pub fn reputation_snapshot(&self) -> Result<ReputationSnapshot> {
-        Ok(ReputationSnapshot {
-            counters: Arc::new(self.scan_tagger_counters()?),
-            threshold: self.reliability_threshold,
-            grace: self.grace_decisions,
-        })
-    }
-
     /// Builds the incremental [`ReputationLedger`] from the tagger table —
     /// the build-once path at engine open, which doubles as the recovery
     /// rebuild after a crash (the WAL replay restores the table, this
@@ -516,8 +503,8 @@ impl UserManager {
         })
     }
 
-    /// The shared scan behind both build paths: every tagger with at
-    /// least one decided submission. Zero-counter rows are skipped — the
+    /// The ledger's scan: every tagger with at least one decided
+    /// submission. Zero-counter rows are skipped — the
     /// gate treats them exactly like absent entries — so the map size is
     /// bounded by the decided population, not the registered one.
     fn scan_tagger_counters(&self) -> Result<FxHashMap<u32, (u32, u32)>> {
@@ -534,18 +521,6 @@ impl UserManager {
             },
         )?;
         Ok(counters)
-    }
-
-    /// A snapshot for rounds that never consult the gate (reliability
-    /// enforcement off): empty counters, gate parameters copied from
-    /// this manager so an accidental read still answers exactly like a
-    /// history-less tagger under the live gate (reliable).
-    pub fn empty_reputation_snapshot(&self) -> ReputationSnapshot {
-        ReputationSnapshot {
-            counters: Arc::new(FxHashMap::default()),
-            threshold: self.reliability_threshold,
-            grace: self.grace_decisions,
-        }
     }
 
     /// Received-decision counters of a tagger without cloning the whole
@@ -653,8 +628,7 @@ mod tests {
             m.get(UserRole::Tagger, 10_001).unwrap().unwrap().name,
             "seed-10001"
         );
-        // Zero-decision seeds are invisible to both snapshot builders.
-        assert!(m.reputation_snapshot().unwrap().counters.len() == 1);
+        // Zero-decision seeds are invisible to the ledger's scan.
         assert_eq!(m.reputation_ledger().unwrap().tracked_taggers(), 1);
     }
 
@@ -803,19 +777,12 @@ mod tests {
         seed_counters(&m, 2, 0, 5); // decided == grace exactly → gate applies
         seed_counters(&m, 3, 5, 5); // rate exactly == threshold → reliable
         seed_counters(&m, 4, 4, 5); // rate 4/9 < threshold → unreliable
-        let snap = m.reputation_snapshot().unwrap();
-        let ledger = m.reputation_ledger().unwrap();
-        let lsnap = ledger.snapshot();
+        let snap = m.reputation_ledger().unwrap().snapshot();
         let expect = [(1u32, true), (2, false), (3, true), (4, false)];
         for (tagger, reliable) in expect {
             assert_eq!(m.is_reliable(tagger).unwrap(), reliable, "live, {tagger}");
             assert_eq!(
                 snap.is_reliable_with(tagger, 0, 0),
-                reliable,
-                "snapshot, {tagger}"
-            );
-            assert_eq!(
-                lsnap.is_reliable_with(tagger, 0, 0),
                 reliable,
                 "ledger snapshot, {tagger}"
             );
@@ -824,11 +791,9 @@ mod tests {
         // 5 approvals → 5/10, exactly the threshold → reliable again.
         assert!(m.is_reliable_with(2, 5, 0).unwrap());
         assert!(snap.is_reliable_with(2, 5, 0));
-        assert!(lsnap.is_reliable_with(2, 5, 0));
         // One short of the boundary stays unreliable.
         assert!(!m.is_reliable_with(2, 4, 0).unwrap());
         assert!(!snap.is_reliable_with(2, 4, 0));
-        assert!(!lsnap.is_reliable_with(2, 4, 0));
     }
 
     #[test]
@@ -840,17 +805,13 @@ mod tests {
         let m = mgr();
         seed_counters(&m, 8, 1, 5); // 1/6 → unreliable (banned)
         assert!(!m.is_reliable(8).unwrap());
-        let snap = m.reputation_snapshot().unwrap();
-        let ledger = m.reputation_ledger().unwrap();
-        let lsnap = ledger.snapshot();
-        // 3 more approvals: 4/9 — still below 0.5 on every path.
+        let snap = m.reputation_ledger().unwrap().snapshot();
+        // 3 more approvals: 4/9 — still below 0.5 on both paths.
         assert!(!m.is_reliable_with(8, 3, 0).unwrap());
         assert!(!snap.is_reliable_with(8, 3, 0));
-        assert!(!lsnap.is_reliable_with(8, 3, 0));
-        // A 4th approval: 5/10 == threshold — reliable again everywhere.
+        // A 4th approval: 5/10 == threshold — reliable again on both.
         assert!(m.is_reliable_with(8, 4, 0).unwrap());
         assert!(snap.is_reliable_with(8, 4, 0));
-        assert!(lsnap.is_reliable_with(8, 4, 0));
     }
 
     #[test]
@@ -872,7 +833,7 @@ mod tests {
         }
         m.table.store().commit(batch).unwrap();
 
-        let snap = m.reputation_snapshot().unwrap();
+        let snap = m.reputation_ledger().unwrap().snapshot();
         for t in [8u32, 9, 42] {
             assert_eq!(
                 snap.is_reliable_with(t, 0, 0),
@@ -950,9 +911,9 @@ mod tests {
         drop(round_start);
         ledger.fold_pending();
 
-        // After the fold the ledger's snapshot equals a fresh rescan.
+        // After the fold the ledger equals a fresh rescan of the table.
         let folded = ledger.snapshot();
-        let rescan = m.reputation_snapshot().unwrap();
+        let rescan = m.reputation_ledger().unwrap();
         assert_eq!(
             *folded.counters, *rescan.counters,
             "ledger diverged from the tagger table"

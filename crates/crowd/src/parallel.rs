@@ -86,71 +86,6 @@ pub fn run_parallel_tagging(
     results
 }
 
-/// Generic scoped fan-out over owned work items: `threads` OS threads claim
-/// items off a shared atomic cursor, `f(index, item)` runs on whichever
-/// thread claimed the slot, and the results come back **in input order** —
-/// the caller never sees scheduling. The engine uses this to tick
-/// independent project runtimes concurrently and merge deterministically.
-// Panics only to re-raise a worker's panic, or on a broken slot
-// invariant; engine rounds on the wire reach it.
-// lint: allow(panic-path)
-pub fn scoped_map<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    assert!(threads >= 1, "need at least one thread");
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    if threads.min(n) == 1 {
-        // One worker claims every slot in input order anyway — run inline
-        // and skip the thread spawn/join (identical results by the
-        // determinism contract, ~100µs less overhead per call).
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| f(i, t))
-            .collect();
-    }
-    // All slot locks share one lockcheck class (they are interchangeable
-    // for ordering purposes — no thread ever holds two at once), as do
-    // the result cells.
-    let slots: Vec<parking_lot::Mutex<Option<T>>> = items
-        .into_iter()
-        .map(|t| parking_lot::Mutex::named("crowd.scoped.slot", Some(t)))
-        .collect();
-    let out: Vec<parking_lot::Mutex<Option<R>>> = (0..n)
-        .map(|_| parking_lot::Mutex::named("crowd.scoped.result", None))
-        .collect();
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let f = &f;
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(n) {
-            let slots = &slots;
-            let out = &out;
-            let cursor = &cursor;
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item = slots[i]
-                    .lock()
-                    .take()
-                    .expect("each slot is claimed exactly once");
-                let r = f(i, item);
-                *out[i].lock() = Some(r);
-            });
-        }
-    });
-    out.into_iter()
-        .map(|m| m.into_inner().expect("scoped threads completed every item"))
-        .collect()
-}
-
 /// Shared state of one [`pipelined_map`] run.
 struct PipelineState<M> {
     /// Staged results waiting for the merger, indexed by item.
@@ -182,11 +117,13 @@ impl<M> Drop for PoisonOnPanic<'_, M> {
     }
 }
 
-/// Two-phase pipelined [`scoped_map`]: the parallel work on each item is
-/// split around a cheap **ordered handoff**, and a dedicated **merger
-/// thread** drains finished items in input order while the workers keep
-/// going — the serial phase of item `i` overlaps the parallel phases of
-/// items `> i` instead of stalling the pool at a barrier.
+/// Scoped fan-out over owned work items with an ordered serial tail:
+/// `threads` OS threads claim items off a shared atomic cursor, the
+/// parallel work on each item is split around a cheap **ordered
+/// handoff**, and a dedicated **merger thread** drains finished items in
+/// input order while the workers keep going — the serial phase of item
+/// `i` overlaps the parallel phases of items `> i` instead of stalling
+/// the pool at a barrier. The engine ticks its project runtimes this way.
 ///
 /// Per item `i`, four callbacks run in sequence:
 ///
@@ -203,8 +140,8 @@ impl<M> Drop for PoisonOnPanic<'_, M> {
 /// merger cannot be buried under an unbounded backlog.
 ///
 /// Results come back in input order, and every `order`/`merge` call runs
-/// in input order regardless of `threads` or `depth` — the determinism
-/// contract of [`scoped_map`] extends to the pipeline. With one thread
+/// in input order regardless of `threads` or `depth` — the caller never
+/// sees scheduling. With one thread
 /// (or one item) everything runs inline in input order, which is the
 /// reference schedule the threaded runs must match.
 ///
@@ -419,19 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn scoped_map_preserves_input_order_at_any_thread_count() {
-        let items: Vec<u64> = (0..97).collect();
-        for threads in [1usize, 3, 8] {
-            let out = scoped_map(items.clone(), threads, |i, x| {
-                assert_eq!(i as u64, x);
-                x * x
-            });
-            let expected: Vec<u64> = items.iter().map(|x| x * x).collect();
-            assert_eq!(out, expected, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn pipelined_map_matches_the_inline_schedule_at_any_threads_and_depth() {
         let items: Vec<u64> = (0..157).collect();
         // Reference: one thread runs everything inline in input order.
@@ -635,14 +559,17 @@ mod tests {
             |_, m| m,
         );
         assert_eq!(one, vec![8]);
-    }
-
-    #[test]
-    fn scoped_map_moves_owned_items_and_handles_empty_input() {
+        // Owned, non-`Copy` items move through every phase.
         let strings = vec!["a".to_string(), "bb".to_string(), "ccc".to_string()];
-        let lens = scoped_map(strings, 2, |_, s| s.len());
+        let lens = pipelined_map(
+            strings,
+            2,
+            1,
+            |_, s: String| s,
+            |_, s| s,
+            |_, s| s.len(),
+            |_, n| n,
+        );
         assert_eq!(lens, vec![1, 2, 3]);
-        let nothing: Vec<u8> = scoped_map(Vec::<u8>::new(), 4, |_, x| x);
-        assert!(nothing.is_empty());
     }
 }

@@ -40,21 +40,6 @@ struct Args {
     /// shakeout contract: sessions may fail *transiently*, the server
     /// must stay healthy — zero panics, post-storm ping answered.
     faults: Option<String>,
-    /// `storm` (the default session storm) or `mixed` (concurrent
-    /// writers running rounds while dashboard readers hammer Monitor —
-    /// the MVCC snapshot-read benchmark).
-    mode: String,
-    /// Mixed mode: concurrent dashboard reader sessions.
-    read_sessions: usize,
-    /// Mixed mode: rounds each writer runs on its campaign.
-    rounds: u32,
-    /// Mixed mode: `EngineConfig::commit_batch` (group-commit budget).
-    commit_batch: Option<usize>,
-    /// Mixed mode: `ServerConfig::snapshot_reads` (on/off).
-    snapshot_reads: Option<bool>,
-    /// Mixed mode: strict-sync durable storage in a temp dir, so
-    /// `StoreStats::wal_syncs` measures real fsyncs per round.
-    durable: bool,
 }
 
 fn parse_args() -> Args {
@@ -66,12 +51,6 @@ fn parse_args() -> Args {
         seed: 7,
         out: None,
         faults: None,
-        mode: "storm".into(),
-        read_sessions: 16,
-        rounds: 12,
-        commit_batch: None,
-        snapshot_reads: None,
-        durable: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -84,22 +63,6 @@ fn parse_args() -> Args {
             "--seed" => args.seed = take("--seed").parse().expect("--seed"),
             "--out" => args.out = Some(take("--out")),
             "--faults" => args.faults = Some(take("--faults")),
-            "--mode" => args.mode = take("--mode"),
-            "--read-sessions" => {
-                args.read_sessions = take("--read-sessions").parse().expect("--read-sessions")
-            }
-            "--rounds" => args.rounds = take("--rounds").parse().expect("--rounds"),
-            "--commit-batch" => {
-                args.commit_batch = Some(take("--commit-batch").parse().expect("--commit-batch"))
-            }
-            "--snapshot-reads" => {
-                args.snapshot_reads = Some(match take("--snapshot-reads").as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => panic!("--snapshot-reads takes on|off, got {other}"),
-                })
-            }
-            "--durable" => args.durable = true,
             other => panic!("unknown flag {other}"),
         }
     }
@@ -255,353 +218,8 @@ fn peak_rss_kb() -> Option<u64> {
         .ok()
 }
 
-/// Mixed read/write mode: writer sessions run rounds on their own
-/// campaigns over the wire while dashboard reader sessions hammer
-/// `Monitor`/`MonitorTable`/`BrowseProjects`. The headline number is
-/// mid-round Monitor tail latency — with snapshot reads on, dashboards
-/// never queue behind the engine mutex a `RunRound` is holding; with
-/// `--snapshot-reads off` they do, and the p99 shows it. `--durable`
-/// plus `--commit-batch` additionally measures fsyncs-per-round for the
-/// group-commit batching.
-fn run_mixed(args: &Args) {
-    const CAMPAIGNS: usize = 4;
-    const TASKS_PER_ROUND: u32 = 40;
-
-    let tmp = args.durable.then(|| {
-        let dir = std::env::temp_dir().join(format!("itag-loadgen-mixed-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir durable dir");
-        dir
-    });
-    let mut config = match &tmp {
-        Some(dir) => {
-            let mut c = EngineConfig::durable(args.seed, dir.clone());
-            c.storage = itag_core::config::StorageConfig::Durable {
-                dir: dir.clone(),
-                durability: itag_store::Durability::Sync,
-                sync_policy: itag_store::SyncPolicy::Always,
-                checkpoint_every: 0,
-            };
-            c
-        }
-        None => EngineConfig::in_memory(args.seed),
-    };
-    config.commit_batch = args.commit_batch;
-    let engine = ITagEngine::new(config).expect("engine");
-    let store = engine.store_handle();
-    let handle = serve(
-        engine,
-        "127.0.0.1:0",
-        ServerConfig {
-            workers: args.workers,
-            queue_capacity: args.queue,
-            snapshot_reads: args.snapshot_reads,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind loopback");
-    let addr = handle.addr();
-
-    let projects: Vec<ProjectId> = {
-        let mut host = Client::connect(addr).expect("host connect");
-        let provider = host.register_provider("mixed-host").expect("register");
-        let projects = (0..CAMPAIGNS)
-            .map(|i| {
-                host.create_project(
-                    provider,
-                    ProjectSpec::demo(&format!("mixed-{i}"), args.rounds * TASKS_PER_ROUND),
-                    DatasetSpec {
-                        resources: 40,
-                        vocab: 200,
-                        initial_posts: 200,
-                        eval_posts: 200,
-                        taggers: 16,
-                        seed: args.seed ^ i as u64,
-                    },
-                    false,
-                )
-                .expect("campaign")
-            })
-            .collect();
-        // Warm the server's snapshot cache while the engine is idle so
-        // the first capture already knows every campaign; without this
-        // the measured reads start from the pre-campaign seed snapshot.
-        host.browse_projects().expect("warm-up browse");
-        host.quit().expect("host quit");
-        projects
-    };
-
-    println!(
-        "loadgen mixed: {} writers x {} rounds, {} dashboard readers, snapshot_reads {:?}, \
-         commit_batch {:?}, durable {}",
-        CAMPAIGNS,
-        args.rounds,
-        args.read_sessions,
-        args.snapshot_reads,
-        args.commit_batch,
-        args.durable
-    );
-
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let syncs_before = store.stats().wal_syncs;
-    let wall = Instant::now();
-
-    let writers: Vec<_> = projects
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| {
-            let rounds = args.rounds;
-            std::thread::Builder::new()
-                .name(format!("mixed-writer-{i}"))
-                .spawn(move || {
-                    let mut lat = Vec::with_capacity(rounds as usize);
-                    let mut c = Client::connect(addr).expect("writer connect");
-                    for _ in 0..rounds {
-                        timed(&mut lat, || c.run_round(p, TASKS_PER_ROUND)).expect("writer round");
-                    }
-                    c.quit().expect("writer quit");
-                    lat
-                })
-                .expect("spawn writer")
-        })
-        .collect();
-
-    let readers: Vec<_> = (0..args.read_sessions)
-        .map(|i| {
-            let projects = projects.clone();
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name(format!("mixed-reader-{i}"))
-                .stack_size(256 * 1024)
-                .spawn(move || {
-                    let mut monitor_lat = Vec::new();
-                    let mut other = 0u64;
-                    let mut c = Client::connect(addr).expect("reader connect");
-                    let mut k = i;
-                    while !stop.load(Ordering::Relaxed) {
-                        let p = projects[k % projects.len()];
-                        k += 1;
-                        timed(&mut monitor_lat, || c.monitor(p)).expect("monitor");
-                        if k % 8 == 0 {
-                            c.browse_projects().expect("browse");
-                            c.monitor_table(p, 5).expect("table");
-                            other += 2;
-                        }
-                    }
-                    c.quit().expect("reader quit");
-                    (monitor_lat, other)
-                })
-                .expect("spawn reader")
-        })
-        .collect();
-
-    let mut round_lat: Vec<u64> = Vec::new();
-    for w in writers {
-        round_lat.extend(w.join().expect("writer thread panicked"));
-    }
-    let write_wall_s = wall.elapsed().as_secs_f64();
-    stop.store(true, Ordering::Relaxed);
-
-    let mut monitor_lat: Vec<u64> = Vec::new();
-    let mut other_reads = 0u64;
-    for r in readers {
-        let (lat, other) = r.join().expect("reader thread panicked");
-        monitor_lat.extend(lat);
-        other_reads += other;
-    }
-
-    let fsyncs = store.stats().wal_syncs - syncs_before;
-    let total_rounds = round_lat.len() as u64;
-    let report = handle.shutdown();
-    assert_eq!(report.stats.worker_panics, 0, "server threads panicked");
-    if let Some(dir) = &tmp {
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    monitor_lat.sort_unstable();
-    round_lat.sort_unstable();
-    let m_p50 = percentile(&monitor_lat, 0.50);
-    let m_p99 = percentile(&monitor_lat, 0.99);
-    let monitors = monitor_lat.len() as u64;
-    let fsyncs_per_round = fsyncs as f64 / total_rounds.max(1) as f64;
-
-    println!(
-        "{total_rounds} rounds (p99 {}us) while {monitors} Monitor reads flowed: \
-         monitor p50 {m_p50}us, p99 {m_p99}us; {other_reads} browse/table reads; \
-         {fsyncs} wal fsyncs ({fsyncs_per_round:.2}/round); \
-         snapshots: {} hits, {} captures, {} stale",
-        percentile(&round_lat, 0.99),
-        report.stats.snapshot_hits,
-        report.stats.snapshot_captures,
-        report.stats.snapshot_stale,
-    );
-
-    if let Some(path) = &args.out {
-        let json = format!(
-            r#"{{
-  "benchmark": "itag-server mixed read/write: {campaigns} writer sessions each running {rounds} rounds of {tpr} tasks while {readers} dashboard sessions continuously Monitor/browse/export; measures mid-round dashboard tail latency and group-commit fsync cadence",
-  "methodology": "cargo run --release -p itag-server --bin loadgen -- --mode mixed --rounds {rounds} --read-sessions {readers} --seed {seed}{durable_flag}{batch_flag}{snap_flag}; Monitor latency measured client-side over TCP while writer rounds are in flight; fsyncs counted via StoreStats::wal_syncs on a strict-sync durable store",
-  "config": {{ "snapshot_reads": {snap}, "commit_batch": {batch}, "durable": {durable} }},
-  "write_wall_seconds": {write_wall_s:.3},
-  "writer_rounds": {total_rounds},
-  "round_latency_us": {{ "p50": {r_p50}, "p99": {r_p99} }},
-  "monitor_reads": {monitors},
-  "monitor_latency_us": {{ "p50": {m_p50}, "p99": {m_p99} }},
-  "snapshot_counters": {{ "hits": {hits}, "captures": {captures}, "stale": {stale} }},
-  "wal_fsyncs": {fsyncs},
-  "fsyncs_per_round": {fsyncs_per_round:.3},
-  "invariants": "every dashboard read answered while rounds were mid-flight; zero server panics; zero failed sessions"
-}}
-"#,
-            campaigns = CAMPAIGNS,
-            rounds = args.rounds,
-            tpr = TASKS_PER_ROUND,
-            readers = args.read_sessions,
-            seed = args.seed,
-            durable_flag = if args.durable { " --durable" } else { "" },
-            batch_flag = args
-                .commit_batch
-                .map(|b| format!(" --commit-batch {b}"))
-                .unwrap_or_default(),
-            snap_flag = args
-                .snapshot_reads
-                .map(|s| format!(" --snapshot-reads {}", if s { "on" } else { "off" }))
-                .unwrap_or_default(),
-            snap = args
-                .snapshot_reads
-                .map(|s| s.to_string())
-                .unwrap_or_else(|| "true".into()),
-            batch = args
-                .commit_batch
-                .map(|b| b.to_string())
-                .unwrap_or_else(|| "null".into()),
-            durable = args.durable,
-            write_wall_s = write_wall_s,
-            total_rounds = total_rounds,
-            r_p50 = percentile(&round_lat, 0.50),
-            r_p99 = percentile(&round_lat, 0.99),
-            monitors = monitors,
-            m_p50 = m_p50,
-            m_p99 = m_p99,
-            hits = report.stats.snapshot_hits,
-            captures = report.stats.snapshot_captures,
-            stale = report.stats.snapshot_stale,
-            fsyncs = fsyncs,
-            fsyncs_per_round = fsyncs_per_round,
-        );
-        std::fs::write(path, json).expect("write bench json");
-        println!("wrote {path}");
-    }
-}
-
-/// Group-commit mode: engine-level `run_all` rounds on a strict-sync
-/// durable store, once with per-project commits (batch 1) and once with
-/// the requested batch budget. Cross-project batching only forms inside
-/// `run_all` — wire `RunRound`s are single-project — so this is the mode
-/// that actually measures the fsync cadence. Both legs must land on
-/// bit-identical store checksums: batching changes durability cadence,
-/// never state.
-fn run_groupcommit(args: &Args) {
-    const CAMPAIGNS: usize = 6;
-    const TASKS_PER_ROUND: u32 = 30;
-    let batch = args
-        .commit_batch
-        .unwrap_or(itag_core::config::DEFAULT_COMMIT_BATCH);
-
-    let leg = |commit_batch: usize| -> (u64, f64, u64) {
-        let dir = std::env::temp_dir().join(format!(
-            "itag-loadgen-group-{}-{commit_batch}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).expect("mkdir durable dir");
-        let mut config = EngineConfig::durable(args.seed, dir.clone());
-        config.storage = itag_core::config::StorageConfig::Durable {
-            dir: dir.clone(),
-            durability: itag_store::Durability::Sync,
-            sync_policy: itag_store::SyncPolicy::Always,
-            checkpoint_every: 0,
-        };
-        config.commit_batch = Some(commit_batch);
-        let mut engine = ITagEngine::new(config).expect("engine");
-        let provider = engine.register_provider("group-host").expect("provider");
-        for i in 0..CAMPAIGNS {
-            let dataset = itag_model::delicious::DeliciousConfig {
-                resources: 30,
-                vocab: 150,
-                initial_posts: 120,
-                eval_posts: 150,
-                taggers: 12,
-                seed: args.seed ^ i as u64,
-                ..itag_model::delicious::DeliciousConfig::default()
-            }
-            .generate()
-            .dataset;
-            engine
-                .add_project(
-                    provider,
-                    ProjectSpec::demo(&format!("group-{i}"), args.rounds * TASKS_PER_ROUND),
-                    dataset,
-                )
-                .expect("campaign");
-        }
-        let store = engine.store_handle();
-        let syncs_before = store.stats().wal_syncs;
-        for _ in 0..args.rounds {
-            engine.run_all_with(TASKS_PER_ROUND, 1, 0).expect("round");
-        }
-        let fsyncs = store.stats().wal_syncs - syncs_before;
-        let project_rounds = (args.rounds as usize * CAMPAIGNS) as u64;
-        let checksum = engine.store_checksum();
-        drop(engine);
-        let _ = std::fs::remove_dir_all(&dir);
-        (fsyncs, fsyncs as f64 / project_rounds as f64, checksum)
-    };
-
-    let (base_fsyncs, base_per_round, base_sum) = leg(1);
-    let (batched_fsyncs, batched_per_round, batched_sum) = leg(batch);
-    assert_eq!(
-        base_sum, batched_sum,
-        "group-commit batching changed the committed state"
-    );
-
-    println!(
-        "groupcommit: {CAMPAIGNS} campaigns x {} run_all rounds, strict-sync WAL: \
-         batch 1 -> {base_fsyncs} fsyncs ({base_per_round:.2}/project-round), \
-         batch {batch} -> {batched_fsyncs} fsyncs ({batched_per_round:.2}/project-round); \
-         checksums identical",
-        args.rounds
-    );
-
-    if let Some(path) = &args.out {
-        let json = format!(
-            r#"{{
-  "benchmark": "engine-level group-commit batching: {CAMPAIGNS} campaigns advanced together through {rounds} run_all rounds on a strict-sync durable store (SyncPolicy::Always), fsyncs counted per per-project round",
-  "methodology": "cargo run --release -p itag-server --bin loadgen -- --mode groupcommit --rounds {rounds} --commit-batch {batch} --seed {seed}; both legs replay the identical workload and must produce bit-identical store checksums",
-  "per_project_commits": {{ "commit_batch": 1, "wal_fsyncs": {base_fsyncs}, "fsyncs_per_project_round": {base_per_round:.3} }},
-  "group_commits": {{ "commit_batch": {batch}, "wal_fsyncs": {batched_fsyncs}, "fsyncs_per_project_round": {batched_per_round:.3} }},
-  "fsync_reduction": "{reduction:.2}x",
-  "invariants": "final store checksums bit-identical across legs"
-}}
-"#,
-            rounds = args.rounds,
-            seed = args.seed,
-            reduction = base_fsyncs as f64 / batched_fsyncs.max(1) as f64,
-        );
-        std::fs::write(path, json).expect("write bench json");
-        println!("wrote {path}");
-    }
-}
-
 fn main() {
     let args = parse_args();
-    if args.mode == "mixed" {
-        run_mixed(&args);
-        return;
-    }
-    if args.mode == "groupcommit" {
-        run_groupcommit(&args);
-        return;
-    }
-    assert_eq!(args.mode, "storm", "--mode takes storm|mixed|groupcommit");
 
     let engine = ITagEngine::new(EngineConfig::in_memory(args.seed)).expect("engine");
     let handle = serve(

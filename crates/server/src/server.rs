@@ -17,12 +17,12 @@
 //! epoch has advanced and served stale (bounded by one pipeline flush)
 //! when the engine is mid-round. Serialization and socket writes happen
 //! on the `Arc`'d snapshot after every lock is dropped, so a slow
-//! dashboard client costs the write path nothing. The answers are
-//! *identical* to engine dispatch at the same epoch — that equivalence
-//! is the `itag_core::snapshot` contract, enforced by its pin tests and
-//! the loopback byte-identity suite. `ITAG_SNAPSHOT_READS=0` (or
-//! [`ServerConfig::snapshot_reads`]) falls back to engine dispatch for
-//! A/B and bisection.
+//! dashboard client costs the write path nothing. Every dashboard answer
+//! comes from one function over an `EngineSnapshot`: with
+//! `ITAG_SNAPSHOT_READS=0` (or [`ServerConfig::snapshot_reads`]) the
+//! capture is taken fresh under the engine mutex instead of served from
+//! the cache, for A/B and bisection. The loopback byte-identity suite
+//! holds the wire answers to the in-process ones.
 //!
 //! Framing errors drop the session; payload-decode errors answer
 //! [`ErrorCode::Malformed`] and keep the session (frame alignment is
@@ -695,12 +695,12 @@ fn current_snapshot(shared: &Shared) -> (Arc<EngineSnapshot>, bool) {
     (snap, true)
 }
 
-/// The snapshot twin of [`dispatch`], covering exactly the
-/// [`Request::is_snapshot_read`] verbs. Response payloads are identical
-/// to engine dispatch at the same store epoch — the snapshot
-/// equivalence contract (`itag_core::snapshot`) is what licenses the
-/// routing split, and the loopback byte-identity test holds both paths
-/// to it.
+/// The one implementation of the [`Request::is_snapshot_read`] verbs,
+/// over an [`EngineSnapshot`]: `apply` calls it with the cached capture,
+/// [`dispatch`] with a fresh one taken under the engine lock (so
+/// `snapshot_reads = false` just means "capture fresh under the
+/// mutex"). The loopback byte-identity test holds the wire answers to
+/// the in-process ones.
 fn dispatch_snapshot(snap: &EngineSnapshot, req: Request) -> itag_core::Result<Response> {
     Ok(match req {
         Request::Monitor { project } => Response::Snapshot(snap.monitor(project)?),
@@ -771,10 +771,15 @@ fn dispatch(engine: &mut ITagEngine, req: Request) -> itag_core::Result<Response
             let (approved, rejected) = engine.collect_once(project)?;
             Response::Collected { approved, rejected }
         }
-        Request::Monitor { project } => Response::Snapshot(engine.monitor(project)?),
-        Request::MonitorTable { project, limit } => Response::Table {
-            rendered: engine.monitor(project)?.render_table(limit as usize),
-        },
+        // Dashboard reads: one implementation, over a fresh capture taken
+        // under the caller's engine lock.
+        dashboard @ (Request::Monitor { .. }
+        | Request::MonitorTable { .. }
+        | Request::BrowseProjects
+        | Request::ExportCsv { .. }
+        | Request::ExportDownload { .. }) => {
+            return dispatch_snapshot(&engine.snapshot(), dashboard)
+        }
         Request::ResourceDetail { project, resource } => {
             Response::Detail(engine.resource_detail(project, resource)?)
         }
@@ -793,15 +798,6 @@ fn dispatch(engine: &mut ITagEngine, req: Request) -> itag_core::Result<Response
             engine.stop_project(project)?;
             Response::Done
         }
-        Request::ExportCsv { project } => Response::Csv {
-            csv: engine.export(project)?.to_csv(),
-        },
-        Request::ExportDownload { project } => Response::Download {
-            bytes: engine.export(project)?.to_bytes(),
-        },
-        Request::BrowseProjects => Response::Projects {
-            listings: engine.browse_projects()?,
-        },
         Request::PullTasks { project, limit } => Response::Tasks {
             open: engine
                 .audience_open_tasks(project, limit as usize)?

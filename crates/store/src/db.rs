@@ -80,9 +80,9 @@
 //! [`crate::txn::WriteBatch::put_cached`] write through into the cache
 //! under the same shard write lock that applies them; plain puts and
 //! deletes invalidate. The cache therefore never changes results, only
-//! skips decodes — `ITAG_NO_CACHE=1` (or `StoreOptions::entity_cache =
-//! false`) turns it off wholesale, which the equivalence tests use to
-//! prove bit-identical behaviour.
+//! skips decodes — `StoreOptions::entity_cache = false` turns it off
+//! wholesale, and that cache-off decode is the reference the store's
+//! differential test (`tests/cache_equiv.rs`) holds the cache to.
 
 use crate::codec::FxHasher;
 use crate::cow::{self, CowMap};
@@ -144,8 +144,7 @@ pub struct StoreOptions {
     /// format is shard-agnostic: a database written with one shard count
     /// reopens fine under another.
     pub shards: usize,
-    /// Enables the decoded-entity cache (see module docs). `ITAG_NO_CACHE=1`
-    /// in the environment forces it off regardless of this flag.
+    /// Enables the decoded-entity cache (see module docs).
     pub entity_cache: bool,
     /// Entity-cache entries per (table, shard) before the slab is dropped
     /// and allowed to refill.
@@ -318,16 +317,6 @@ pub struct Store {
     epoch: AtomicU64,
     opts: StoreOptions,
     counters: Counters,
-}
-
-/// Whether the `ITAG_NO_CACHE` environment variable forces the entity
-/// cache off. Delegates to the shared strict parser in
-/// [`crate::envknob`] (the engine rejects garbage loudly; the raw store
-/// treats it as "off" — see that module for why both postures share one
-/// parser). The cache tests gate on this same function so they can never
-/// desynchronize from the store's decision.
-fn env_disables_cache() -> bool {
-    crate::envknob::env_disables_cache()
 }
 
 /// Declares the store's reviewed lock-order exemptions and
@@ -690,7 +679,7 @@ impl Store {
                 }
             }
         }
-        let cache_enabled = opts.entity_cache && !env_disables_cache();
+        let cache_enabled = opts.entity_cache;
         register_lockcheck_policy();
         crate::faults::init_env();
         Store {
@@ -2383,15 +2372,6 @@ mod tests {
 
     #[test]
     fn cache_write_through_and_invalidation() {
-        // The CI matrix re-runs the whole suite with the cache force-
-        // disabled; this test *is about* cache behaviour, so it only runs
-        // when the cache can be on (`ITAG_NO_CACHE=0` keeps it on — the
-        // gate shares `assemble`'s parser rather than keying on mere
-        // presence). `cache_can_be_disabled_by_option` covers the
-        // disabled contract.
-        if env_disables_cache() {
-            return;
-        }
         let s = Store::in_memory();
         assert!(s.entity_cache_enabled());
 

@@ -1,47 +1,13 @@
 //! The store's sanctioned environment reads.
 //!
-//! `ITAG_NO_CACHE` is consumed at two layers with different error
-//! postures: the engine routes it through [`parse_no_cache`] and fails
-//! loudly on garbage (`EngineError::Config`), while the raw store stays
-//! conservative and treats an unparseable value as "cache off". Both
-//! layers share this module's parser so the two decisions can never
-//! disagree about what a value *means* — only about what to do when it
-//! means nothing. The repo lint (`itag-lint`, rule `env-var`) pins this
-//! module and `core::config` as the only files allowed to call
-//! `std::env::var`.
+//! The repo lint (`itag-lint`, rule `env-var`) pins this module and
+//! `core::config` as the only files allowed to call `std::env::var`.
 //!
 //! `ITAG_FAULTS` arms the deterministic fault-injection layer (see
 //! [`crate::faults`]) with a comma-separated `<site>:<kind>[@<trigger>]`
 //! plan. Its posture is strict everywhere: a plan that does not parse
 //! panics at [`crate::faults::init_env`] time, because silently running
 //! a "fault storm" that injects nothing would be worse than aborting.
-
-/// Parses `ITAG_NO_CACHE`: `1`/`true` force the cache off, `0`/`false`
-/// leave it alone, unset/empty means unset, anything else is an error.
-pub fn parse_no_cache(raw: Option<&str>) -> std::result::Result<Option<bool>, String> {
-    let Some(raw) = raw else { return Ok(None) };
-    match raw.trim() {
-        "" => Ok(None),
-        "1" | "true" => Ok(Some(true)),
-        "0" | "false" => Ok(Some(false)),
-        _ => Err(format!(
-            "ITAG_NO_CACHE={raw:?} is not a valid cache switch (expected 0/1/true/false)"
-        )),
-    }
-}
-
-/// Whether the `ITAG_NO_CACHE` environment variable forces the entity
-/// cache off for a raw store. Unrecognized values count as "off": the
-/// store cannot surface a config error from deep inside `assemble`, and
-/// disabling the cache is the behavior-preserving direction (presence
-/// semantics only, never a wrong answer). The engine rejects the same
-/// garbage loudly before a store is ever built.
-pub fn env_disables_cache() -> bool {
-    match parse_no_cache(std::env::var("ITAG_NO_CACHE").ok().as_deref()) {
-        Ok(force_off) => force_off == Some(true),
-        Err(_) => true,
-    }
-}
 
 /// Parses an `ITAG_FAULTS` value: comma-separated `<site>:<kind>[@<trigger>]`
 /// entries, validated against the known fault sites. Unset or empty means
@@ -66,20 +32,48 @@ mod tests {
 
     #[test]
     fn parse_accepts_the_documented_values() {
-        assert_eq!(parse_no_cache(None), Ok(None));
-        assert_eq!(parse_no_cache(Some("")), Ok(None));
-        assert_eq!(parse_no_cache(Some("  ")), Ok(None));
-        assert_eq!(parse_no_cache(Some("1")), Ok(Some(true)));
-        assert_eq!(parse_no_cache(Some("true")), Ok(Some(true)));
-        assert_eq!(parse_no_cache(Some("0")), Ok(Some(false)));
-        assert_eq!(parse_no_cache(Some(" false ")), Ok(Some(false)));
+        use crate::faults::{FaultKind, FaultSpec, Trigger};
+        assert_eq!(parse_faults(Some("  ")), Ok(Vec::new()));
+        // Every declared site, and every kind/trigger form the grammar
+        // documents; empty entries between commas are skipped.
+        for site in crate::faults::SITES {
+            let plan = parse_faults(Some(&format!("{site}:eio"))).unwrap();
+            assert_eq!(
+                plan,
+                vec![(
+                    site.to_string(),
+                    FaultSpec::new(FaultKind::Eio, Trigger::Once)
+                )]
+            );
+        }
+        let plan = parse_faults(Some(
+            "wal.append:enospc@once, ,wal.sync:eintr@every3,snapshot.write:short@after2,\
+             checkpoint.stream:crash100,recovery.scan:eio@seeded7x25",
+        ))
+        .unwrap();
+        let specs: Vec<FaultSpec> = plan.into_iter().map(|(_, s)| s).collect();
+        assert_eq!(
+            specs,
+            vec![
+                FaultSpec::new(FaultKind::Enospc, Trigger::Once),
+                FaultSpec::new(FaultKind::Eintr, Trigger::Every(3)),
+                FaultSpec::new(FaultKind::Short, Trigger::After(2)),
+                FaultSpec::new(FaultKind::Crash(100), Trigger::Once),
+                FaultSpec::new(FaultKind::Eio, Trigger::Seeded { seed: 7, pct: 25 }),
+            ]
+        );
     }
 
     #[test]
     fn parse_rejects_garbage_with_the_variable_name() {
-        for bad in ["yes", "no", "2", "TRUE!"] {
-            let err = parse_no_cache(Some(bad)).unwrap_err();
-            assert!(err.contains("ITAG_NO_CACHE") && err.contains(bad), "{err}");
+        for bad in [
+            "yes",
+            "wal.sync:",
+            "wal.sync:crash",
+            "wal.sync:eio@seeded7x101",
+        ] {
+            let err = parse_faults(Some(bad)).unwrap_err();
+            assert!(err.starts_with("ITAG_FAULTS: "), "{err}");
         }
     }
 

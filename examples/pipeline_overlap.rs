@@ -10,7 +10,7 @@
 //! cargo run --release --example pipeline_overlap
 //! ```
 
-use itag::crowd::parallel::{pipelined_map, scoped_map};
+use itag::crowd::parallel::pipelined_map;
 use std::time::{Duration, Instant};
 
 fn main() {
@@ -19,12 +19,21 @@ fn main() {
     let work = Duration::from_millis(5);
     let merge = Duration::from_millis(5);
 
-    // Barrier schedule: work everything, then merge everything.
+    // Barrier schedule: work everything (an empty merge tail), then
+    // merge everything.
     let start = Instant::now();
-    let staged = scoped_map(items.clone(), threads, |_, x| {
-        std::thread::sleep(work);
-        x
-    });
+    let staged = pipelined_map(
+        items.clone(),
+        threads,
+        items.len(),
+        |_, x| {
+            std::thread::sleep(work);
+            x
+        },
+        |_, x| x,
+        |_, x| x,
+        |_, x| x,
+    );
     let merged: Vec<u32> = staged
         .into_iter()
         .map(|x| {

@@ -41,7 +41,7 @@ pub const ROOTS: &[(Option<&str>, &str, &str)] = &[
 
 /// Repo-wide budget of waived *functions* on panic-reachable paths.
 /// Raising it is a reviewed change to this file.
-pub const BUDGET: usize = 29;
+pub const BUDGET: usize = 28;
 
 /// Files whose index/slice expressions count as panic sources.
 fn index_in_scope(file: &str) -> bool {

@@ -1,7 +1,7 @@
 //! Registry-free Rust lexer + item parser for the static analyses.
 //!
-//! This is the tokenizing big brother of `lint::strip_comments_and_strings`:
-//! instead of blanking non-code text it produces a real token stream
+//! The workspace's one Rust lexer — the repo lint (`crate::lint`) and
+//! every analysis tokenize through [`lex`]. It produces a real token stream
 //! (identifiers, string literals *with contents* — lock class names and
 //! fault site names live in strings — numbers, lifetimes, punctuation),
 //! and a recursive-descent item parser that builds a per-file table of

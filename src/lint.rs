@@ -7,9 +7,10 @@
 //! `parking_lot` shim", "determinism-contracted regions never read the
 //! clock". Each lives in module docs somewhere; this lint makes them
 //! enforceable. It has no `syn`, no registry dependency at all: it walks
-//! `crates/*/src` and `src/`, strips comments and string literals with a
-//! small state machine, tracks `#[cfg(test)]` regions by brace depth,
-//! and matches tokens line by line.
+//! `crates/*/src` and `src/`, tokenizes each file with the analyses'
+//! lexer ([`crate::analyze::parse::lex`] — comments vanish, literals are
+//! single tokens), tracks `#[cfg(test)]` regions by brace depth, and
+//! matches token windows line by line.
 //!
 //! ## Rules
 //!
@@ -46,6 +47,7 @@
 //! `allow(panic-path)` is accepted but handled by the call-graph
 //! analyses in [`crate::analyze`] (function-granular, budgeted there).
 
+use crate::analyze::parse::{lex, Tok, Token};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -219,9 +221,8 @@ fn lint_file(
     report: &mut LintReport,
     waivers_per_rule: &mut Vec<(String, usize)>,
 ) {
-    let stripped = strip_comments_and_strings(content);
     let raw_lines: Vec<&str> = content.lines().collect();
-    let code_lines: Vec<&str> = stripped.lines().collect();
+    let code_lines = code_lines(content);
 
     let mut waivers: Vec<Waiver> = Vec::new();
     let mut fence_open_at: Option<usize> = None;
@@ -229,14 +230,15 @@ fn lint_file(
     let mut test_region: Option<i32> = None;
     let mut pending_test = false;
 
-    // Pattern text lives in literals so the lint never flags itself:
-    // string contents are stripped before matching.
-    let p_env = "env::var";
-    let p_unwrap = ".unwrap()";
-    let p_expect = ".expect(";
-    let p_std_sync = "std::sync::";
-    let p_instant = "Instant::now";
-    let p_systime = "SystemTime::now";
+    // Pattern text lives in literals so the lint never flags itself: a
+    // literal is one token, never matched by a window.
+    let p_env = ["env::var", "env::var_os", "env::vars", "env::vars_os"].map(pattern);
+    let p_unwrap = pattern(".unwrap()");
+    let p_expect = pattern(".expect(");
+    let p_std_sync = pattern("std::sync::");
+    let p_instant = pattern("Instant::now");
+    let p_systime = pattern("SystemTime::now");
+    let p_cfg_test = pattern("cfg(test");
 
     for (idx, raw) in raw_lines.iter().enumerate() {
         let line_no = idx + 1;
@@ -288,14 +290,19 @@ fn lint_file(
             // Anything else after "// lint: " is prose, not a directive.
         }
 
-        let code = code_lines.get(idx).copied().unwrap_or("");
+        let code: &[Token] = code_lines.get(idx).map_or(&[], Vec::as_slice);
+        let has = |pat: &[Tok]| {
+            code.windows(pat.len())
+                .any(|w| w.iter().map(|t| &t.tok).eq(pat))
+        };
 
         // -- test-region tracking --
         let in_test = test_region.is_some() || pending_test;
-        if test_region.is_none() && code.contains("cfg(test") {
+        if test_region.is_none() && has(&p_cfg_test) {
             pending_test = true;
         }
-        for ch in code.chars() {
+        for t in code {
+            let Tok::P(ch) = t.tok else { continue };
             match ch {
                 '{' => {
                     depth += 1;
@@ -344,7 +351,7 @@ fn lint_file(
             });
         };
 
-        if code.contains(p_env) && !ENV_VAR_ALLOWED.contains(&rel) {
+        if p_env.iter().any(|p| has(p)) && !ENV_VAR_ALLOWED.contains(&rel) {
             flag(
                 "env-var",
                 "environment read outside core::config / store::envknob; \
@@ -352,26 +359,26 @@ fn lint_file(
                     .into(),
             );
         }
-        if rel.starts_with("crates/store/src/")
-            && (code.contains(p_unwrap) || code.contains(p_expect))
-        {
+        if rel.starts_with("crates/store/src/") && (has(&p_unwrap) || has(&p_expect)) {
             flag(
                 "store-unwrap",
                 "panic in non-test store code; return a typed StoreError".into(),
             );
         }
         if std_sync_in_scope(rel)
-            && code.contains(p_std_sync)
-            && ["Mutex", "RwLock", "Condvar"]
-                .iter()
-                .any(|t| code.contains(t))
+            && has(&p_std_sync)
+            && code.iter().filter_map(Token::ident).any(|id| {
+                ["Mutex", "RwLock", "Condvar"]
+                    .iter()
+                    .any(|lock| id.contains(lock))
+            })
         {
             flag(
                 "std-sync",
                 "direct std::sync lock where the instrumented parking_lot shim is mandated".into(),
             );
         }
-        if fence_open_at.is_some() && (code.contains(p_instant) || code.contains(p_systime)) {
+        if fence_open_at.is_some() && (has(&p_instant) || has(&p_systime)) {
             flag(
                 "determinism-instant",
                 "clock read inside a determinism fence".into(),
@@ -402,158 +409,22 @@ fn lint_file(
     }
 }
 
-/// Blanks comments, string/char literals, and raw strings, preserving
-/// newlines (so line numbers survive) and all other code characters.
-fn strip_comments_and_strings(content: &str) -> String {
-    let b: Vec<char> = content.chars().collect();
-    let mut out = String::with_capacity(b.len());
-    let mut i = 0usize;
-
-    enum St {
-        Code,
-        LineComment,
-        BlockComment(u32),
-        Str,
-        RawStr(usize),
-        CharLit,
-    }
-    let mut st = St::Code;
-
-    // Pushes a blank for a consumed non-code char, keeping newlines.
-    fn blank(out: &mut String, c: char) {
-        out.push(if c == '\n' { '\n' } else { ' ' });
-    }
-
-    while i < b.len() {
-        let c = b[i];
-        match st {
-            St::Code => {
-                if c == '/' && b.get(i + 1) == Some(&'/') {
-                    st = St::LineComment;
-                    out.push_str("  ");
-                    i += 2;
-                } else if c == '/' && b.get(i + 1) == Some(&'*') {
-                    st = St::BlockComment(1);
-                    out.push_str("  ");
-                    i += 2;
-                } else if c == '"' {
-                    st = St::Str;
-                    out.push(' ');
-                    i += 1;
-                } else if c == 'r' && !prev_is_ident(&b, i) {
-                    // Possible raw string: r#*"
-                    let mut j = i + 1;
-                    let mut hashes = 0usize;
-                    while b.get(j) == Some(&'#') {
-                        hashes += 1;
-                        j += 1;
-                    }
-                    if b.get(j) == Some(&'"') {
-                        st = St::RawStr(hashes);
-                        for _ in i..=j {
-                            out.push(' ');
-                        }
-                        i = j + 1;
-                    } else {
-                        out.push(c);
-                        i += 1;
-                    }
-                } else if c == '\'' {
-                    match b.get(i + 1) {
-                        Some('\\') => {
-                            st = St::CharLit;
-                            out.push(' ');
-                            i += 1;
-                        }
-                        Some(_) if b.get(i + 2) == Some(&'\'') => {
-                            // 'x' — a plain char literal.
-                            out.push_str("   ");
-                            i += 3;
-                        }
-                        _ => {
-                            // A lifetime; keep it as code.
-                            out.push(c);
-                            i += 1;
-                        }
-                    }
-                } else {
-                    out.push(c);
-                    i += 1;
-                }
-            }
-            St::LineComment => {
-                if c == '\n' {
-                    st = St::Code;
-                    out.push('\n');
-                } else {
-                    out.push(' ');
-                }
-                i += 1;
-            }
-            St::BlockComment(depth) => {
-                if c == '*' && b.get(i + 1) == Some(&'/') {
-                    let d = depth - 1;
-                    st = if d == 0 {
-                        St::Code
-                    } else {
-                        St::BlockComment(d)
-                    };
-                    out.push_str("  ");
-                    i += 2;
-                } else if c == '/' && b.get(i + 1) == Some(&'*') {
-                    st = St::BlockComment(depth + 1);
-                    out.push_str("  ");
-                    i += 2;
-                } else {
-                    blank(&mut out, c);
-                    i += 1;
-                }
-            }
-            St::Str => {
-                if c == '\\' && i + 1 < b.len() {
-                    blank(&mut out, c);
-                    blank(&mut out, b[i + 1]);
-                    i += 2;
-                } else {
-                    if c == '"' {
-                        st = St::Code;
-                    }
-                    blank(&mut out, c);
-                    i += 1;
-                }
-            }
-            St::RawStr(hashes) => {
-                if c == '"' && (0..hashes).all(|k| b.get(i + 1 + k) == Some(&'#')) {
-                    for k in 0..=hashes {
-                        blank(&mut out, *b.get(i + k).unwrap_or(&' '));
-                    }
-                    i += 1 + hashes;
-                    st = St::Code;
-                } else {
-                    blank(&mut out, c);
-                    i += 1;
-                }
-            }
-            St::CharLit => {
-                if c == '\\' && i + 1 < b.len() {
-                    blank(&mut out, c);
-                    blank(&mut out, b[i + 1]);
-                    i += 2;
-                } else {
-                    if c == '\'' {
-                        st = St::Code;
-                    }
-                    blank(&mut out, c);
-                    i += 1;
-                }
-            }
-        }
-    }
-    out
+/// The tokens of `pattern` — the window a rule matches.
+fn pattern(pattern: &str) -> Vec<Tok> {
+    lex(pattern).into_iter().map(|t| t.tok).collect()
 }
 
-fn prev_is_ident(b: &[char], i: usize) -> bool {
-    i > 0 && (b[i - 1].is_alphanumeric() || b[i - 1] == '_')
+/// `content`'s tokens grouped by line (index 0 is line 1), one entry per
+/// source line: comments are gone and every literal is a single token,
+/// so a rule's window never matches text inside either.
+fn code_lines(content: &str) -> Vec<Vec<Token>> {
+    let mut lines: Vec<Vec<Token>> = vec![Vec::new(); content.lines().count()];
+    for t in lex(content) {
+        if let Some(line) = lines.get_mut(t.line.saturating_sub(1)) {
+            line.push(t);
+        }
+    }
+    lines
 }
 
 #[cfg(test)]
@@ -567,21 +438,36 @@ mod tests {
         report
     }
 
+    /// True when some line of `lines` holds the window `pat`.
+    fn any_line_has(lines: &[Vec<Token>], pat: &str) -> bool {
+        let pat = pattern(pat);
+        lines.iter().any(|l| {
+            l.windows(pat.len())
+                .any(|w| w.iter().map(|t| &t.tok).eq(&pat))
+        })
+    }
+
     #[test]
     fn stripping_blanks_comments_strings_and_chars_but_not_lifetimes() {
         let src = "let a = \"env::var\"; // env::var\nfn f<'a>(x: &'a str) { let c = 'x'; }\n";
-        let s = strip_comments_and_strings(src);
-        assert!(!s.contains("env::var"));
-        assert!(s.contains("fn f<'a>(x: &'a str)"));
-        assert_eq!(s.lines().count(), src.lines().count());
+        let lines = code_lines(src);
+        assert!(!any_line_has(&lines, "env::var"));
+        assert!(any_line_has(&lines, "fn f<'a>(x: &'a str)"));
+        assert_eq!(lines[1][3].tok, Tok::Life("a".into()));
+        assert_eq!(lines.len(), src.lines().count());
     }
 
     #[test]
     fn stripping_handles_raw_strings_and_nested_block_comments() {
         let src = "let p = r#\"std::sync::Mutex\"#; /* outer /* std::sync::Mutex */ still */ let q = 1;\n";
-        let s = strip_comments_and_strings(src);
-        assert!(!s.contains("Mutex"));
-        assert!(s.contains("let q = 1;"));
+        let lines = code_lines(src);
+        assert!(!lines[0]
+            .iter()
+            .any(|t| t.is_ident("Mutex") || t.is_ident("still")));
+        assert!(any_line_has(&lines, "let q = 1;"));
+        // A multi-line literal keeps later tokens on their own lines.
+        let lines = code_lines("let s = \"a\nb\";\nlet t = Instant::now();\n");
+        assert!(lines[2].iter().any(|t| t.is_ident("Instant")));
     }
 
     #[test]

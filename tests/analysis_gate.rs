@@ -62,7 +62,7 @@ fn panic_path_waivers_are_pinned() {
     let want: Vec<(String, usize)> = [
         ("crates/core/src/export.rs", 1),
         ("crates/crowd/src/audience.rs", 1),
-        ("crates/crowd/src/parallel.rs", 2),
+        ("crates/crowd/src/parallel.rs", 1),
         ("crates/crowd/src/payment.rs", 2),
         ("crates/crowd/src/platform.rs", 2),
         ("crates/model/src/vocab.rs", 2),

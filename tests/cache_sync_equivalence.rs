@@ -1,17 +1,14 @@
-//! Equivalence suite for the two new store knobs: the decoded-entity
-//! cache and the WAL `SyncPolicy`. Both are throughput knobs only — this
-//! file proves the engine's observable output (run summaries, monitor
-//! snapshots, worker ledgers, golden quality trajectories, and the
-//! content checksum over every stored table) is bit-identical with the
-//! cache on or off, and that every sync policy leaves identical store
-//! contents after a clean shutdown.
+//! Equivalence suite for the WAL `SyncPolicy`: a throughput knob only —
+//! every sync policy must leave identical store contents (and identical
+//! resumed campaigns) after a clean shutdown. The decoded-entity cache's
+//! equivalence contract lives with the store, in
+//! `crates/store/tests/cache_equiv.rs`.
 
 use itag::core::config::{EngineConfig, StorageConfig};
-use itag::core::engine::{ITagEngine, RunSummary};
+use itag::core::engine::ITagEngine;
 use itag::core::monitor::MonitorSnapshot;
 use itag::core::project::ProjectSpec;
 use itag::model::delicious::DeliciousConfig;
-use itag::model::ids::ProjectId;
 use itag::store::{Durability, SyncPolicy};
 
 fn dataset(seed: u64) -> itag::model::dataset::Dataset {
@@ -24,97 +21,6 @@ fn dataset(seed: u64) -> itag::model::dataset::Dataset {
     }
     .generate()
     .dataset
-}
-
-/// Runs a fixed multi-campaign scenario at `threads` and returns
-/// everything observable.
-#[allow(clippy::type_complexity)]
-fn run_scenario_on(
-    mut config: EngineConfig,
-    threads: usize,
-) -> (
-    Vec<(ProjectId, RunSummary)>,
-    Vec<MonitorSnapshot>,
-    Vec<Vec<(u32, u64)>>,
-    u64,
-) {
-    config.workers = 12;
-    config.spammer_fraction = 0.2; // rejections exercise the user tables
-    let mut e = ITagEngine::new(config).unwrap();
-    let provider = e.register_provider("equivalence").unwrap();
-    let mut projects = Vec::new();
-    for i in 0..4u64 {
-        projects.push(
-            e.add_project(
-                provider,
-                ProjectSpec::demo(&format!("equiv-{i}"), 120),
-                dataset(0xCAC4E + i),
-            )
-            .unwrap(),
-        );
-    }
-    let mut summaries = Vec::new();
-    for _ in 0..2 {
-        summaries.extend(e.run_all_on(60, threads).unwrap());
-    }
-    let monitors = projects.iter().map(|p| e.monitor(*p).unwrap()).collect();
-    let balances = projects
-        .iter()
-        .map(|p| e.worker_balances(*p).unwrap())
-        .collect();
-    let checksum = e.store_checksum();
-    (summaries, monitors, balances, checksum)
-}
-
-#[test]
-fn entity_cache_on_and_off_are_bit_identical() {
-    let seed = 0x0FF_CACE;
-    let on = run_scenario_on(
-        EngineConfig {
-            entity_cache: true,
-            ..EngineConfig::in_memory(seed)
-        },
-        2,
-    );
-    let off = run_scenario_on(
-        EngineConfig {
-            entity_cache: false,
-            ..EngineConfig::in_memory(seed)
-        },
-        2,
-    );
-    assert_eq!(on.0, off.0, "run summaries diverged with the cache off");
-    assert_eq!(
-        on.1, off.1,
-        "monitor snapshots (golden trajectory) diverged"
-    );
-    assert_eq!(on.2, off.2, "worker ledgers diverged");
-    assert_eq!(on.3, off.3, "stored-table checksums diverged");
-}
-
-#[test]
-fn entity_cache_equivalence_holds_at_every_thread_count() {
-    // Cache-on at 1 thread vs cache-off at 2 and 8 threads: both knobs
-    // varied at once must still be bit-identical.
-    let base = run_scenario_on(
-        EngineConfig {
-            entity_cache: true,
-            ..EngineConfig::in_memory(7)
-        },
-        1,
-    );
-    for threads in [2usize, 8] {
-        let other = run_scenario_on(
-            EngineConfig {
-                entity_cache: false,
-                ..EngineConfig::in_memory(7)
-            },
-            threads,
-        );
-        assert_eq!(base.0, other.0, "summaries diverged (threads={threads})");
-        assert_eq!(base.1, other.1, "monitors diverged (threads={threads})");
-        assert_eq!(base.3, other.3, "checksums diverged (threads={threads})");
-    }
 }
 
 #[test]

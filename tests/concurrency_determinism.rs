@@ -2,9 +2,10 @@
 //! bit-for-bit identical at every thread count **and every round-pipeline
 //! depth**. The same multi-campaign scenario (spammers included, so the
 //! reliability overlay is exercised) runs at `threads = 1, 2, 8` and
-//! pipeline depths `0` (the barrier schedule), `1` and `2`; monitor
-//! snapshots, per-worker ledger balances, and a digest of every stored
-//! table must agree exactly.
+//! pipeline depths `1`, `2` and `4`, against the reference schedule —
+//! one thread, where every project's round runs inline in project-id
+//! order; monitor snapshots, per-worker ledger balances, and a digest of
+//! every stored table must agree exactly.
 
 use itag::core::config::EngineConfig;
 use itag::core::engine::{ITagEngine, RunSummary};
@@ -99,22 +100,25 @@ fn assert_equal(base: &RoundOutput, other: &RoundOutput, what: &str) {
 
 #[test]
 fn single_round_is_identical_at_1_2_and_8_threads() {
-    let base = run_with(1, 0, 1, 150);
+    let base = run_with(1, 1, 1, 150);
     for threads in [2usize, 8] {
-        let other = run_with(threads, 0, 1, 150);
-        assert_equal(&base, &other, &format!("{threads} threads, pipeline off"));
+        let other = run_with(threads, 1, 1, 150);
+        assert_equal(&base, &other, &format!("{threads} threads, depth 1"));
     }
 }
 
 #[test]
 fn single_round_is_identical_across_pipeline_depths() {
-    // Pipelining on vs off, and at depth 1 vs 2, at every thread count:
+    // Every depth at every thread count against the inline reference:
     // snapshots, ledgers and stored bytes must be bit-identical. This is
     // the round-pipeline contract — the merger overlapping later ticks
     // must be unobservable in the results.
-    let base = run_with(1, 0, 1, 150);
+    let base = run_with(1, 1, 1, 150);
     for threads in [1usize, 2, 8] {
-        for depth in [1usize, 2] {
+        for depth in [1usize, 2, 4] {
+            if (threads, depth) == (1, 1) {
+                continue; // the base cell itself
+            }
             let other = run_with(threads, depth, 1, 150);
             assert_equal(&base, &other, &format!("{threads} threads, depth {depth}"));
         }
@@ -126,21 +130,21 @@ fn multi_round_interleaving_is_identical_across_thread_counts() {
     // Several smaller rounds: reputation persisted between rounds feeds
     // the next round's reliability gate, so round boundaries must land in
     // the same places at every thread count.
-    let base = run_with(1, 0, 3, 50);
+    let base = run_with(1, 1, 3, 50);
     for threads in [2usize, 8] {
-        let other = run_with(threads, 0, 3, 50);
-        assert_equal(&base, &other, &format!("{threads} threads, pipeline off"));
+        let other = run_with(threads, 1, 3, 50);
+        assert_equal(&base, &other, &format!("{threads} threads, depth 1"));
     }
 }
 
 #[test]
 fn multi_round_interleaving_is_identical_across_pipeline_depths() {
     // Round boundaries are where the pipeline hands its RNG streams and
-    // reputation snapshots across rounds; depths 1 and 2 must land every
-    // boundary in the same place the barrier schedule does.
-    let base = run_with(1, 0, 3, 50);
+    // reputation snapshots across rounds; every depth must land every
+    // boundary in the same place the inline schedule does.
+    let base = run_with(1, 1, 3, 50);
     for threads in [2usize, 8] {
-        for depth in [1usize, 2] {
+        for depth in [1usize, 2, 4] {
             let other = run_with(threads, depth, 3, 50);
             assert_equal(&base, &other, &format!("{threads} threads, depth {depth}"));
         }
@@ -150,16 +154,15 @@ fn multi_round_interleaving_is_identical_across_pipeline_depths() {
 #[test]
 fn run_all_with_env_resolved_threads_matches_explicit_single_thread() {
     // `run_all()` resolves its thread count from `EngineConfig::threads`,
-    // then `ITAG_THREADS`, then the machine — and its pipeline depth from
-    // `EngineConfig::pipeline_depth`, then `ITAG_PIPELINE`, then the
-    // default. This is the path the CI matrix (ITAG_THREADS x
-    // ITAG_PIPELINE) actually exercises. Whatever it resolves to, the
-    // results must equal an explicit one-thread, pipeline-off round.
+    // then `ITAG_THREADS`, then the machine, at the default pipeline
+    // depth. This is the path the CI matrix (ITAG_THREADS) actually
+    // exercises. Whatever it resolves to, the results must equal an
+    // explicit one-thread round.
     let (mut via_env, projects) = build_engine();
     let (mut explicit, _) = build_engine();
     assert!(via_env.resolved_threads() >= 1);
     let a = via_env.run_all(150).unwrap();
-    let b = explicit.run_all_with(150, 1, 0).unwrap();
+    let b = explicit.run_all_with(150, 1, 1).unwrap();
     assert_eq!(a, b, "env-resolved thread count changed the results");
     assert_eq!(via_env.store_checksum(), explicit.store_checksum());
     for p in &projects {
@@ -173,7 +176,7 @@ fn run_all_with_env_resolved_threads_matches_explicit_single_thread() {
 
 #[test]
 fn parallel_rounds_preserve_integrity_and_money_conservation() {
-    for depth in [0usize, 2] {
+    for depth in [1usize, 2] {
         let (mut e, projects) = build_engine();
         let summaries = e.run_all_with(150, 4, depth).unwrap();
         assert_eq!(summaries.len(), projects.len());
@@ -217,7 +220,7 @@ fn run_is_run_all_over_one_project() {
     // lone campaign ends bit-identical either way, at any thread count
     // and pipeline depth.
     let base = solo_campaign(|e, p| (0..3).map(|_| (p, e.run(p, 50).unwrap())).collect());
-    for (threads, depth) in [(1usize, 0usize), (2, 2), (8, 1)] {
+    for (threads, depth) in [(1usize, 1usize), (2, 2), (8, 4)] {
         let all = solo_campaign(|e, _| {
             (0..3)
                 .flat_map(|_| e.run_all_with(50, threads, depth).unwrap())
@@ -258,11 +261,11 @@ fn group_commit_batching_is_identical_to_per_project_commits() {
     // throughput knob only: summaries, monitors, ledgers, and the stored
     // bytes must be bit-identical to groups of one at every thread count
     // and pipeline depth. `0` is the documented alias for `1`.
-    let base = run_with_batch(1, 0, 2, 60, Some(1));
-    let zero = run_with_batch(2, 0, 2, 60, Some(0));
+    let base = run_with_batch(1, 1, 2, 60, Some(1));
+    let zero = run_with_batch(2, 1, 2, 60, Some(0));
     assert_equal(&base, &zero, "commit_batch 0 (alias of 1)");
     for threads in [1usize, 2, 8] {
-        for depth in [0usize, 2] {
+        for depth in [1usize, 2] {
             let other = run_with_batch(threads, depth, 2, 60, Some(8));
             assert_equal(
                 &base,
@@ -331,12 +334,15 @@ fn group_commit_batching_cuts_fsyncs_per_round() {
 #[test]
 fn durable_store_bytes_are_identical_across_pipeline_depths() {
     // The strongest form of the contract: the WAL frames the merger
-    // commits land in the same order with pipelining on and off, so two
-    // durable engines running the same rounds produce byte-identical
-    // recovered stores.
+    // commits land in the same order, op for op, at every thread count
+    // and pipeline depth as in the inline one-thread round — so the WAL
+    // bytes match, and so do the recovered stores. (Stored content alone
+    // cannot see a merge-order slip: the merge's effects commute.)
+    let mut wals = Vec::new();
     let mut checksums = Vec::new();
-    for depth in [0usize, 1, 2] {
-        let dir = itag::store::testutil::TestDir::new(&format!("det-pipeline-{depth}"));
+    let cells = [(1usize, 1usize), (4, 1), (4, 2), (8, 4)];
+    for (threads, depth) in cells {
+        let dir = itag::store::testutil::TestDir::new(&format!("det-pipeline-{threads}-{depth}"));
         {
             let mut config = EngineConfig::durable(0xD17E, dir.path().to_path_buf());
             config.workers = 16;
@@ -351,13 +357,23 @@ fn durable_store_bytes_are_identical_across_pipeline_depths() {
                 )
                 .unwrap();
             }
-            e.run_all_with(100, 4, depth).unwrap();
+            e.run_all_with(100, threads, depth).unwrap();
+            e.store_handle().sync().unwrap();
+            wals.push(std::fs::read(dir.path().join("db.wal")).unwrap());
             e.checkpoint().unwrap();
         }
         let reopened =
             ITagEngine::new(EngineConfig::durable(0xD17E, dir.path().to_path_buf())).unwrap();
         checksums.push(reopened.store_checksum());
     }
-    assert_eq!(checksums[0], checksums[1], "depth 0 vs 1 diverged on disk");
-    assert_eq!(checksums[0], checksums[2], "depth 0 vs 2 diverged on disk");
+    for (i, (threads, depth)) in cells.iter().enumerate().skip(1) {
+        assert!(
+            wals[i] == wals[0],
+            "{threads} threads, depth {depth}: WAL frames differ from the inline round"
+        );
+        assert_eq!(
+            checksums[i], checksums[0],
+            "{threads} threads, depth {depth} diverged on disk"
+        );
+    }
 }

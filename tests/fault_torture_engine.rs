@@ -151,7 +151,7 @@ fn batched_prefix(engine: &mut ITagEngine) {
             )
             .expect("project");
     }
-    engine.run_all_with(20, 1, 0).expect("round");
+    engine.run_all_with(20, 1, 1).expect("round");
 }
 
 /// A WAL fault during a *batched* group commit fails the whole group —
@@ -170,7 +170,7 @@ fn group_commit_fault_fails_the_whole_group_and_recovers_to_prefix() {
         FaultSpec::new(FaultKind::Eio, Trigger::After(0)),
     ));
     let err = engine
-        .run_all_with(20, 1, 0)
+        .run_all_with(20, 1, 1)
         .expect_err("a round over a failing WAL must error");
     assert!(
         err.is_storage_fault(),
@@ -195,7 +195,7 @@ fn group_commit_fault_fails_the_whole_group_and_recovers_to_prefix() {
     // Healed: the next batched round goes through.
     let mut recovered = recovered;
     recovered
-        .run_all_with(20, 1, 0)
+        .run_all_with(20, 1, 1)
         .expect("healed engine must run batched rounds again");
 }
 
@@ -217,7 +217,7 @@ fn crash_mid_batched_group_frame_recovers_atomically() {
     ));
     // Past the crash offset this round's group frame is torn; the engine
     // may or may not notice before power loss.
-    let _ = engine.run_all_with(20, 1, 0);
+    let _ = engine.run_all_with(20, 1, 1);
     drop(engine);
     assert!(
         guard.fired(faults::WAL_APPEND) >= 1,
@@ -231,7 +231,7 @@ fn crash_mid_batched_group_frame_recovers_atomically() {
     let mut twin_before = ITagEngine::new(batched_config(twin_before_dir.path())).expect("twin");
     batched_prefix(&mut twin_before);
     let before = twin_before.store_checksum();
-    twin_before.run_all_with(20, 1, 0).expect("twin round");
+    twin_before.run_all_with(20, 1, 1).expect("twin round");
     let after = twin_before.store_checksum();
 
     let got = recovered.store_checksum();
