@@ -2490,8 +2490,12 @@ mod tests {
         (summaries, monitors, unreliable, e.store_checksum())
     }
 
+    /// The per-round rescan survives only as the oracle: the maintained
+    /// ledger must equal a table scan at every boundary of the
+    /// multi-round scenario, in every (threads, depth) cell, and every
+    /// cell must produce the same engine.
     #[test]
-    fn maintained_ledger_matches_a_table_rescan_at_every_round_boundary() {
+    fn reputation_ledger_and_rescan_schedules_are_bit_identical() {
         let (mut e, projects) = oracle_engine(true, 0.25, 0);
         let base = oracle_rounds(&mut e, &projects, 1, 1);
         assert!(

@@ -1,18 +1,25 @@
-//! Reputation-schedule equivalence suite: the incremental ledger
-//! (`ITAG_REPUTATION=ledger`, the default — built from the tagger table
-//! once at engine open, maintained by applying each committed round's
-//! per-worker deltas) must be **bit-identical** to the per-round rescan
-//! schedule (`ITAG_REPUTATION=rescan`, the pre-ledger reference) — across
-//! thread counts, pipeline depths, serial/parallel interleavings, crash +
-//! reopen (the ledger's recovery rebuild), and registered populations far
-//! larger than any round's worker set.
+//! Reputation equivalence at the public surface: the engine keeps one
+//! incremental ledger (built from the tagger table at open, maintained by
+//! each committed round's per-worker deltas), and the gate an
+//! [`EngineSnapshot`] answers from it must equal the gate read straight
+//! from the stored tagger rows — the per-round rescan, now an oracle —
+//! at every round boundary, across thread counts, pipeline depths,
+//! serial/parallel interleavings, a crash + reopen (the ledger's
+//! recovery rebuild) and a registered population far larger than any
+//! round's worker set. The counter-level twin of this oracle lives in
+//! `engine.rs`'s test module, which can read the ledger itself.
 
-use itag::core::config::{EngineConfig, ReputationMode};
+use itag::core::config::EngineConfig;
 use itag::core::engine::{ITagEngine, RunSummary};
 use itag::core::monitor::MonitorSnapshot;
 use itag::core::project::ProjectSpec;
+use itag::core::snapshot::EngineSnapshot;
 use itag::model::delicious::DeliciousConfig;
 use itag::model::ids::ProjectId;
+
+const WORKERS: usize = 16;
+/// Seeded taggers start here, far above the worker-id range.
+const SEEDED_FROM: u32 = 1 << 20;
 
 fn dataset(seed: u64) -> itag::model::dataset::Dataset {
     DeliciousConfig {
@@ -26,29 +33,55 @@ fn dataset(seed: u64) -> itag::model::dataset::Dataset {
     .dataset
 }
 
-fn build_engine(mode: ReputationMode, registered_taggers: u32) -> (ITagEngine, Vec<ProjectId>) {
-    let mut config = EngineConfig::in_memory(0x1ED6E4);
-    config.workers = 16;
-    config.spammer_fraction = 0.25; // rejections → gate reads → bans
-    config.reputation = Some(mode);
-    let mut e = ITagEngine::new(config).unwrap();
-    if registered_taggers > 0 {
-        // A registered population far above the worker-id range: rescan
-        // pays to walk it every round, the ledger never sees it.
-        e.seed_taggers(1 << 20, registered_taggers).unwrap();
+fn config(mut c: EngineConfig) -> EngineConfig {
+    c.workers = WORKERS;
+    // Mostly spammers: rejections push taggers below the gate, which the
+    // following rounds read.
+    c.spammer_fraction = 0.9;
+    c
+}
+
+/// The oracle: for every active tagger (and a sample of seeded ones) the
+/// snapshot's ledger gate equals the gate over the stored tagger row, and
+/// the active range holds every tagger the table scan finds unreliable.
+/// Returns the number of unreliable taggers.
+fn assert_snapshot_gate_matches_table(e: &ITagEngine, registered: u32, ctx: &str) -> usize {
+    let snap: EngineSnapshot = e.snapshot();
+    let seeded = (0..registered.min(64)).map(|i| SEEDED_FROM + i * (registered / 64).max(1));
+    let mut unreliable = 0;
+    for t in (0..4 * WORKERS as u32).chain(seeded) {
+        let table = e.is_reliable_tagger(t).unwrap();
+        assert_eq!(
+            snap.is_reliable_tagger(t),
+            table,
+            "snapshot gate diverged from the tagger table for tagger {t}: {ctx}"
+        );
+        unreliable += usize::from(!table);
+    }
+    assert_eq!(
+        unreliable,
+        e.unreliable_tagger_count().unwrap(),
+        "an unreliable tagger lies outside the checked ids: {ctx}"
+    );
+    unreliable
+}
+
+fn build_engine(registered: u32) -> (ITagEngine, Vec<ProjectId>) {
+    let mut e = ITagEngine::new(config(EngineConfig::in_memory(0x1ED6E4))).unwrap();
+    if registered > 0 {
+        e.seed_taggers(SEEDED_FROM, registered).unwrap();
     }
     let provider = e.register_provider("reputation-equivalence").unwrap();
-    let mut projects = Vec::new();
-    for i in 0..4u64 {
-        projects.push(
+    let projects = (0..4u64)
+        .map(|i| {
             e.add_project(
                 provider,
                 ProjectSpec::demo(&format!("campaign-{i}"), 200),
                 dataset(0x1ED6E4 + i),
             )
-            .unwrap(),
-        );
-    }
+            .unwrap()
+        })
+        .collect();
     (e, projects)
 }
 
@@ -56,181 +89,134 @@ type RoundOutput = (
     Vec<(ProjectId, RunSummary)>,
     Vec<MonitorSnapshot>,
     Vec<Vec<(u32, u64)>>,
+    usize,
     u64,
 );
 
-fn run_rounds(
-    mode: ReputationMode,
-    registered_taggers: u32,
-    threads: usize,
-    depth: usize,
-) -> RoundOutput {
-    let (mut e, projects) = build_engine(mode, registered_taggers);
+/// Two parallel rounds with a single-project `run` between them, the
+/// oracle checked at every boundary; returns everything observable.
+fn run_rounds(registered: u32, threads: usize, depth: usize) -> RoundOutput {
+    let (mut e, projects) = build_engine(registered);
+    let ctx = format!("{registered} seeded, {threads} threads, depth {depth}");
+    assert_snapshot_gate_matches_table(&e, registered, &format!("at open, {ctx}"));
     let mut summaries = Vec::new();
-    for _ in 0..2 {
+    for round in 0..2 {
         summaries.extend(e.run_all_with(75, threads, depth).unwrap());
+        assert_snapshot_gate_matches_table(&e, registered, &format!("round {round}, {ctx}"));
+        summaries.push((projects[round], e.run(projects[round], 20).unwrap()));
+        assert_snapshot_gate_matches_table(&e, registered, &format!("run {round}, {ctx}"));
     }
+    let unreliable = assert_snapshot_gate_matches_table(&e, registered, &format!("end, {ctx}"));
     let monitors = projects.iter().map(|p| e.monitor(*p).unwrap()).collect();
     let balances = projects
         .iter()
         .map(|p| e.worker_balances(*p).unwrap())
         .collect();
-    (summaries, monitors, balances, e.store_checksum())
+    (
+        summaries,
+        monitors,
+        balances,
+        unreliable,
+        e.store_checksum(),
+    )
 }
 
 #[test]
 fn ledger_matches_rescan_at_every_thread_count_and_depth() {
-    // The acceptance matrix: threads {1, 2, 8} × pipeline depths {0, 2},
-    // both schedules, all against one reference — monitor snapshots,
-    // payment ledgers and the stored-table digest must agree bit-for-bit.
-    let base = run_rounds(ReputationMode::Rescan, 0, 1, 0);
-    for mode in [ReputationMode::Ledger, ReputationMode::Rescan] {
-        for threads in [1usize, 2, 8] {
-            for depth in [0usize, 2] {
-                if (mode, threads, depth) == (ReputationMode::Rescan, 1, 0) {
-                    continue; // the base cell itself
-                }
-                let other = run_rounds(mode, 0, threads, depth);
-                assert_eq!(
-                    base.0, other.0,
-                    "summaries diverged: {mode:?}, {threads} threads, depth {depth}"
-                );
-                assert_eq!(
-                    base.1, other.1,
-                    "monitors diverged: {mode:?}, {threads} threads, depth {depth}"
-                );
-                assert_eq!(
-                    base.2, other.2,
-                    "ledger balances diverged: {mode:?}, {threads} threads, depth {depth}"
-                );
-                assert_eq!(
-                    base.3, other.3,
-                    "stored bytes diverged: {mode:?}, {threads} threads, depth {depth}"
-                );
+    // threads {1, 2, 8} × pipeline depths {1, 2, 4}, all against the
+    // inline (one-thread) schedule — summaries, monitor snapshots,
+    // payment ledgers, the gate and the stored-table digest bit-for-bit.
+    let base = run_rounds(0, 1, 1);
+    assert!(base.3 > 0, "the scenario must push taggers below the gate");
+    for threads in [1usize, 2, 8] {
+        for depth in [1usize, 2, 4] {
+            if (threads, depth) == (1, 1) {
+                continue; // the base cell itself
             }
+            let other = run_rounds(0, threads, depth);
+            let cell = format!("{threads} threads, depth {depth}");
+            assert_eq!(base.0, other.0, "summaries diverged: {cell}");
+            assert_eq!(base.1, other.1, "monitors diverged: {cell}");
+            assert_eq!(base.2, other.2, "ledger balances diverged: {cell}");
+            assert_eq!(base.3, other.3, "unreliable counts diverged: {cell}");
+            assert_eq!(base.4, other.4, "stored bytes diverged: {cell}");
         }
     }
 }
 
 #[test]
 fn large_registered_population_changes_nothing_but_the_user_table() {
-    // Registered-but-inactive taggers (the north-star shape: millions of
-    // accounts, a small active fringe) must not influence a single
-    // decision — in either schedule — and the two schedules must agree
-    // on the full stored state including the seeded rows.
-    let base = run_rounds(ReputationMode::Rescan, 0, 2, 2);
-    let ledger = run_rounds(ReputationMode::Ledger, 5_000, 2, 2);
-    let rescan = run_rounds(ReputationMode::Rescan, 5_000, 2, 2);
+    // Registered-but-inactive taggers (a small active fringe in a large
+    // population) must not influence a single decision; only the user
+    // table carries the extra rows.
+    let base = run_rounds(0, 2, 2);
+    let populated = run_rounds(5_000, 2, 2);
+    assert_eq!(base.0, populated.0, "inactive accounts influenced a round");
     assert_eq!(
-        ledger.3, rescan.3,
-        "stored bytes diverged under a large registered population"
+        base.1, populated.1,
+        "inactive accounts influenced a monitor"
     );
-    assert_eq!(ledger.0, rescan.0, "summaries diverged under population");
-    assert_eq!(ledger.1, rescan.1, "monitors diverged under population");
-    // The population is invisible to campaign outcomes (checksums differ
-    // only because the user table carries the extra rows).
-    assert_eq!(base.0, ledger.0, "inactive accounts influenced a round");
-    assert_eq!(base.1, ledger.1, "inactive accounts influenced a monitor");
-    assert_eq!(base.2, ledger.2, "inactive accounts influenced a payout");
+    assert_eq!(base.2, populated.2, "inactive accounts influenced a payout");
+    assert_eq!(base.3, populated.3, "inactive accounts changed the gate");
+    assert_ne!(base.4, populated.4, "the seeded rows must be stored");
 }
 
-/// One durable life-cycle with a mid-run reopen: rounds, drop with the
-/// WAL tail live (no checkpoint — reopening replays it, and in ledger
-/// mode rebuilds the ledger from the recovered table), more rounds,
-/// checkpoint, final reopen. Returns the post-reopen monitors and the
-/// durable store digest.
-fn durable_lifecycle(mode: ReputationMode) -> (Vec<MonitorSnapshot>, u64) {
-    let dir = itag::store::testutil::TestDir::new(&format!("rep-equiv-{mode:?}"));
-    let config = |seed: u64| {
-        let mut c = EngineConfig::durable(seed, dir.path().to_path_buf());
-        c.workers = 16;
-        c.spammer_fraction = 0.25;
-        c.reputation = Some(mode);
-        c
+#[test]
+fn crash_reopen_mid_run_rebuilds_the_ledger_identically() {
+    // Rounds, then a drop with the WAL tail live (no checkpoint): the
+    // reopen replays it and rebuilds the ledger from the recovered table,
+    // whose gate must answer exactly as the first life's maintained one;
+    // more rounds, a checkpoint and a final reopen keep it so.
+    let dir = itag::store::testutil::TestDir::new("rep-equiv-reopen");
+    let durable = || config(EngineConfig::durable(0xC4A5, dir.path().to_path_buf()));
+    let gates = |e: &ITagEngine| -> Vec<bool> {
+        let snap = e.snapshot();
+        (0..4 * WORKERS as u32)
+            .map(|t| snap.is_reliable_tagger(t))
+            .collect()
     };
-    let projects: Vec<ProjectId> = {
-        let mut e = ITagEngine::new(config(0xC4A5)).unwrap();
+    let (projects, first_life) = {
+        let mut e = ITagEngine::new(durable()).unwrap();
         let provider = e.register_provider("durable-equivalence").unwrap();
         let projects: Vec<ProjectId> = (0..3u64)
             .map(|i| {
                 e.add_project(
                     provider,
-                    ProjectSpec::demo(&format!("durable-{i}"), 200),
+                    ProjectSpec::demo(&format!("durable-{i}"), 300),
                     dataset(0xC4A5 + i),
                 )
                 .unwrap()
             })
             .collect();
-        for _ in 0..2 {
-            e.run_all_with(40, 4, 2).unwrap();
+        for round in 0..2 {
+            e.run_all_with(75, 4, 2).unwrap();
+            assert_snapshot_gate_matches_table(&e, 0, &format!("first life, round {round}"));
         }
-        projects
+        (projects, gates(&e))
         // Dropped without a checkpoint: the WAL tail carries the rounds.
     };
-    let monitors = {
-        let mut e = ITagEngine::new(config(0xC4A5)).unwrap();
+    assert!(
+        first_life.iter().any(|reliable| !reliable),
+        "the first life must push taggers below the gate"
+    );
+    let digest = {
+        let mut e = ITagEngine::new(durable()).unwrap();
+        assert_eq!(
+            gates(&e),
+            first_life,
+            "the recovery rebuild answers the gate differently from the first life"
+        );
         for p in &projects {
             e.resume_project(*p).unwrap();
         }
-        for _ in 0..2 {
+        for round in 0..2 {
             e.run_all_with(40, 4, 2).unwrap();
+            assert_snapshot_gate_matches_table(&e, 0, &format!("after reopen, round {round}"));
         }
         e.checkpoint().unwrap();
-        projects.iter().map(|p| e.monitor(*p).unwrap()).collect()
+        e.store_checksum()
     };
-    let reopened = ITagEngine::new(config(0xC4A5)).unwrap();
-    (monitors, reopened.store_checksum())
-}
-
-#[test]
-fn crash_reopen_mid_run_rebuilds_the_ledger_identically() {
-    let (ledger_monitors, ledger_digest) = durable_lifecycle(ReputationMode::Ledger);
-    let (rescan_monitors, rescan_digest) = durable_lifecycle(ReputationMode::Rescan);
-    assert_eq!(
-        ledger_monitors, rescan_monitors,
-        "post-reopen campaigns diverged between schedules"
-    );
-    assert_eq!(
-        ledger_digest, rescan_digest,
-        "durable on-disk state diverged between schedules after checkpoint + reopen"
-    );
-}
-
-#[test]
-fn env_selected_rescan_matches_config_selected_rescan() {
-    // The CI matrix selects the schedule through `ITAG_REPUTATION`; the
-    // engine must resolve config over env, and an engine with no config
-    // choice must land on whatever the environment (or the default) says
-    // while producing the same results either way.
-    let via_config = run_rounds(ReputationMode::Rescan, 0, 2, 2);
-    let (mut e, projects) = {
-        let mut config = EngineConfig::in_memory(0x1ED6E4);
-        config.workers = 16;
-        config.spammer_fraction = 0.25;
-        config.reputation = None; // resolve via ITAG_REPUTATION / default
-        let mut e = ITagEngine::new(config).unwrap();
-        let provider = e.register_provider("reputation-equivalence").unwrap();
-        let projects: Vec<ProjectId> = (0..4u64)
-            .map(|i| {
-                e.add_project(
-                    provider,
-                    ProjectSpec::demo(&format!("campaign-{i}"), 200),
-                    dataset(0x1ED6E4 + i),
-                )
-                .unwrap()
-            })
-            .collect();
-        (e, projects)
-    };
-    let mut summaries = Vec::new();
-    for _ in 0..2 {
-        summaries.extend(e.run_all_with(75, 2, 2).unwrap());
-    }
-    assert_eq!(
-        via_config.0, summaries,
-        "schedule resolution changed results"
-    );
-    let monitors: Vec<MonitorSnapshot> = projects.iter().map(|p| e.monitor(*p).unwrap()).collect();
-    assert_eq!(via_config.1, monitors);
-    assert_eq!(via_config.3, e.store_checksum());
+    let reopened = ITagEngine::new(durable()).unwrap();
+    assert_snapshot_gate_matches_table(&reopened, 0, "after checkpoint + reopen");
+    assert_eq!(reopened.store_checksum(), digest);
 }
