@@ -98,6 +98,25 @@ fn bench_commit(c: &mut Criterion) {
             store.commit(batch).unwrap();
         });
     });
+    // One round's commit on a long `rounds_durable`-shaped run: about 150
+    // puts and 14 deletes across 8 tables, in one batch.
+    group.bench_function("round_shaped", |b| {
+        let store = Store::in_memory();
+        let mut round = 0u64;
+        b.iter(|| {
+            let mut batch = WriteBatch::new();
+            for j in 0..150u64 {
+                let key = ((round * 150 + j) % 65_536).to_be_bytes();
+                batch.put_slices(TableId(1 + (j % 8) as u16), &key, &[j as u8; 48]);
+            }
+            for j in 0..14u64 {
+                let key = ((round * 150 + j * 10) % 65_536).to_be_bytes();
+                batch.delete(TableId(1 + (j * 10 % 8) as u16), key.to_vec());
+            }
+            store.commit(batch).unwrap();
+            round += 1;
+        });
+    });
     group.bench_function("put_wal_buffered", |b| {
         let dir = TestDir::new("bench-wal");
         let store = Store::open(
@@ -220,19 +239,24 @@ fn bench_ordered_loads(c: &mut Criterion) {
     let retired: RefCell<Option<Box<dyn std::any::Any>>> = RefCell::new(None);
     let mut group = c.benchmark_group("store/ingest");
     group.sample_size(10);
-    group.bench_function("seed_600k", |b| {
-        b.iter_batched(
-            || {
-                retired.take();
-                ITagEngine::new(EngineConfig::in_memory(7)).unwrap()
-            },
-            |mut engine| {
-                engine.seed_taggers(0, 600_000).unwrap();
-                *retired.borrow_mut() = Some(Box::new(engine));
-            },
-            BatchSize::PerIteration,
-        );
-    });
+    // Inline, and with the encoder thread ahead of the commits.
+    for threads in [1, 2] {
+        group.bench_function(format!("seed_600k/threads{threads}"), |b| {
+            b.iter_batched(
+                || {
+                    retired.take();
+                    let mut config = EngineConfig::in_memory(7);
+                    config.threads = threads;
+                    ITagEngine::new(config).unwrap()
+                },
+                |mut engine| {
+                    engine.seed_taggers(0, 600_000).unwrap();
+                    *retired.borrow_mut() = Some(Box::new(engine));
+                },
+                BatchSize::PerIteration,
+            );
+        });
+    }
     group.finish();
     retired.take();
 

@@ -848,9 +848,14 @@ impl ITagEngine {
 
         let counts = dataset.initial_counts();
         let pq = ProjectQuality::from_dataset(&dataset, self.config.metric);
+        // Resource rows, tag dictionary, project row and dataset row commit
+        // as one frame: a crash can never leave a project's resources
+        // without the project.
+        let mut batch = WriteBatch::new();
         self.resources
-            .upload(id, &dataset.resources, &counts, &pq.qualities)?;
-        self.tags.store_dictionary(&dataset.dictionary)?;
+            .stage_upload(&mut batch, id, &dataset.resources, &counts, &pq.qualities)?;
+        self.tags
+            .stage_dictionary(&mut batch, &dataset.dictionary)?;
         let record = ProjectRecord {
             id,
             provider,
@@ -860,9 +865,6 @@ impl ITagEngine {
             budget_spent: 0,
             created_at: 0,
         };
-        // Project row + dataset row commit atomically: a crash between the
-        // two can no longer leave a project without its dataset.
-        let mut batch = WriteBatch::new();
         self.projects.stage_upsert_cached(&mut batch, &record)?;
         self.datasets.stage_upsert(
             &mut batch,
@@ -1359,9 +1361,14 @@ impl ITagEngine {
     /// records are left untouched. Zero-decision taggers answer the
     /// reliability gate exactly like unknown ones, so the reputation
     /// ledger never tracks them.
+    ///
+    /// With more than one thread ([`ITagEngine::resolved_threads`]) a
+    /// second thread encodes each chunk while this one commits the one
+    /// before; the stored bytes are the same at every thread count.
     pub fn seed_taggers(&mut self, start: u32, count: u32) -> Result<()> {
+        let threads = self.resolved_threads();
         self.users
-            .register_bulk(UserRole::Tagger, start, count, "tagger-")?;
+            .register_bulk(UserRole::Tagger, start, count, "tagger-", threads)?;
         self.next_tagger_id = self.next_tagger_id.max(start.saturating_add(count));
         Ok(())
     }

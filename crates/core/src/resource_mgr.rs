@@ -23,17 +23,19 @@ impl ResourceManager {
         }
     }
 
-    /// Uploads a project's resources (all start with the given post
-    /// counts and quality snapshots; counts come from the provider's
-    /// pre-existing posts, qualities from the initial metric evaluation).
-    pub fn upload(
+    /// Stages the upload of a project's resources (all start with the
+    /// given post counts and quality snapshots; counts come from the
+    /// provider's pre-existing posts, qualities from the initial metric
+    /// evaluation). The caller commits `batch`, so the upload can share a
+    /// frame with the project's other rows.
+    pub fn stage_upload(
         &self,
+        batch: &mut WriteBatch,
         project: ProjectId,
         resources: &[Resource],
         initial_counts: &[u32],
         initial_qualities: &[f64],
     ) -> Result<()> {
-        let mut batch = WriteBatch::with_capacity(resources.len() * 2);
         for (i, r) in resources.iter().enumerate() {
             let record = ResourceRecord {
                 project,
@@ -43,10 +45,9 @@ impl ResourceManager {
                 stopped: false,
             };
             // Write-through: the first tick's reads hit the entity cache.
-            self.table.stage_upsert_cached(&mut batch, &record)?;
-            IDX_RESOURCE_BY_POSTCOUNT.stage_update(&mut batch, None, Some(&record));
+            self.table.stage_upsert_cached(batch, &record)?;
+            IDX_RESOURCE_BY_POSTCOUNT.stage_update(batch, None, Some(&record));
         }
-        self.store.commit(batch)?;
         Ok(())
     }
 
@@ -147,16 +148,22 @@ mod tests {
 
     const P: ProjectId = ProjectId(1);
 
+    fn upload(m: &ResourceManager, p: ProjectId, rs: &[Resource], counts: &[u32], q: &[f64]) {
+        let mut batch = WriteBatch::new();
+        m.stage_upload(&mut batch, p, rs, counts, q).unwrap();
+        m.table.store().commit(batch).unwrap();
+    }
+
     #[test]
     fn upload_then_list_roundtrip() {
         let m = mgr();
-        m.upload(
+        upload(
+            &m,
             P,
             &resources(5),
             &[3, 0, 1, 0, 7],
             &[0.1, 0.2, 0.3, 0.4, 0.5],
-        )
-        .unwrap();
+        );
         let list = m.list(P).unwrap();
         assert_eq!(list.len(), 5);
         assert_eq!(list[0].posts, 3);
@@ -167,8 +174,8 @@ mod tests {
     #[test]
     fn projects_are_isolated() {
         let m = mgr();
-        m.upload(P, &resources(3), &[0, 0, 0], &[]).unwrap();
-        m.upload(ProjectId(2), &resources(2), &[9, 9], &[]).unwrap();
+        upload(&m, P, &resources(3), &[0, 0, 0], &[]);
+        upload(&m, ProjectId(2), &resources(2), &[9, 9], &[]);
         assert_eq!(m.list(P).unwrap().len(), 3);
         assert_eq!(m.list(ProjectId(2)).unwrap().len(), 2);
         assert!(m.get(P, ResourceId(0)).unwrap().posts == 0);
@@ -178,7 +185,7 @@ mod tests {
     #[test]
     fn below_posts_uses_the_count_index() {
         let m = mgr();
-        m.upload(P, &resources(4), &[0, 5, 2, 10], &[]).unwrap();
+        upload(&m, P, &resources(4), &[0, 5, 2, 10], &[]);
         let low = m.below_posts(P, 3).unwrap();
         let ids: Vec<u32> = low.iter().map(|(_, r)| r.0).collect();
         assert_eq!(ids, vec![0, 2]); // sorted by (count, id): 0 posts, then 2
@@ -187,7 +194,7 @@ mod tests {
     #[test]
     fn increment_keeps_index_consistent() {
         let m = mgr();
-        m.upload(P, &resources(2), &[0, 0], &[]).unwrap();
+        upload(&m, P, &resources(2), &[0, 0], &[]);
         let rec = m.get(P, ResourceId(0)).unwrap();
         let mut batch = WriteBatch::new();
         let updated = m.stage_increment_posts(&mut batch, &rec).unwrap();
@@ -202,7 +209,7 @@ mod tests {
     #[test]
     fn stop_flag_persists() {
         let m = mgr();
-        m.upload(P, &resources(1), &[0], &[]).unwrap();
+        upload(&m, P, &resources(1), &[0], &[]);
         m.set_stopped(P, ResourceId(0), true).unwrap();
         assert!(m.get(P, ResourceId(0)).unwrap().stopped);
         m.set_stopped(P, ResourceId(0), false).unwrap();

@@ -25,14 +25,13 @@ impl TagManager {
         }
     }
 
-    /// Persists a whole dictionary (idempotent upserts).
-    pub fn store_dictionary(&self, dict: &TagDictionary) -> Result<()> {
-        let mut batch = WriteBatch::with_capacity(dict.len());
+    /// Stages a whole dictionary (idempotent upserts) into `batch`.
+    pub fn stage_dictionary(&self, batch: &mut WriteBatch, dict: &TagDictionary) -> Result<()> {
         for i in 0..dict.len() as u32 {
             let id = TagId(i);
             if let Some(text) = dict.text(id) {
                 self.tags.stage_upsert(
-                    &mut batch,
+                    batch,
                     &TagRecord {
                         id,
                         text: text.to_string(),
@@ -40,7 +39,6 @@ impl TagManager {
                 )?;
             }
         }
-        self.store.commit(batch)?;
         Ok(())
     }
 
@@ -70,10 +68,13 @@ impl TagManager {
         use itag_store::serbin;
         use itag_store::table::{Entity, KeyCodec};
         let pk = post.id.encoded();
-        let row = serbin::to_bytes(&(project, post)).map_err(itag_store::StoreError::from)?;
         IDX_POSTS_BY_RESOURCE.stage_insert(batch, &(project, post.resource), &pk);
         crate::records::IDX_POSTS_BY_TAGGER.stage_insert(batch, &(project, post.tagger), &pk);
-        batch.put(PostRecord::TABLE, pk, row);
+        batch.put_with(
+            PostRecord::TABLE,
+            |k| k.extend_from_slice(&pk),
+            |v| Ok(serbin::to_writer(v, &(project, post))?),
+        )?;
         Ok(())
     }
 
@@ -165,7 +166,9 @@ mod tests {
         let mut d = TagDictionary::new();
         d.intern("rust");
         d.intern("database");
-        m.store_dictionary(&d).unwrap();
+        let mut batch = WriteBatch::new();
+        m.stage_dictionary(&mut batch, &d).unwrap();
+        m.tags.store().commit(batch).unwrap();
         assert_eq!(m.text(TagId(0)), "rust");
         assert_eq!(m.text(TagId(1)), "database");
         assert_eq!(m.text(TagId(9)), "");

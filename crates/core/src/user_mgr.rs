@@ -265,55 +265,105 @@ impl UserManager {
     /// Bulk-registers `count` users with ids `start..start + count`
     /// (population seeding for scale scenarios; the range saturates at
     /// `u32::MAX`, which is never registered). Existing records are left
-    /// untouched; rows are staged in chunked batches so seeding a large
-    /// population costs a handful of commits, not one per user. Each
-    /// chunk finds its existing ids with one range scan and encodes every
-    /// new record through one reused record and one scratch buffer. The
-    /// RMW lock is taken per chunk — each id's exists-check and write
-    /// stay atomic against concurrent registrations, but a big seed never
-    /// stalls the store's other read-modify-write users for its whole
-    /// duration.
+    /// untouched. Rows go in 4,096-id chunks, one commit each, so seeding
+    /// a large population costs a handful of commits, not one per user.
+    /// Each chunk finds its existing ids with one range scan and encodes
+    /// every new record straight into its batch through one reused
+    /// record.
+    ///
+    /// With `threads > 1`, one scoped encoder thread scans and encodes
+    /// chunk k+1 while this thread commits chunk k. Batches cross a
+    /// channel two deep and are committed here in id order, so the
+    /// committed frames are byte for byte those of the inline schedule
+    /// (`threads <= 1`), and every stored pair and memtable page is
+    /// allocated on the calling thread. The RMW lock is held for the
+    /// whole seed: a chunk is scanned ahead of the commits before it, so
+    /// no `register` or `update` may slip in between. On an error the
+    /// pipeline stops and the encoder is joined; the chunks committed
+    /// before the error stay.
     pub fn register_bulk(
         &self,
         role: UserRole,
         start: u32,
         count: u32,
         prefix: &str,
+        threads: usize,
     ) -> Result<()> {
-        use std::fmt::Write as _;
-        const CHUNK: u32 = 4096;
-        let tag = role.tag();
-        let mut record = UserRecord::new(role, start, String::new());
-        let mut scratch = Vec::new();
-        let mut id = start;
+        const CHUNK: usize = 4096;
         let end = start.saturating_add(count);
-        while id < end {
-            let chunk_end = id.saturating_add(CHUNK).min(end);
-            let _rmw = self.table.store().rmw_guard();
-            let mut existing = self
-                .table
-                .keys_in_range(&(tag, id), Some(&(tag, chunk_end)))?
-                .into_iter()
-                .map(|(_, i)| i)
-                .peekable();
-            let mut batch = WriteBatch::with_capacity((chunk_end - id) as usize);
-            for i in id..chunk_end {
-                if existing.next_if_eq(&i).is_some() {
-                    continue;
-                }
-                record.id = i;
-                record.name.clear();
-                // Formatting into a `String` cannot fail.
-                let _ = write!(record.name, "{prefix}{i}");
-                self.table
-                    .stage_upsert_with(&mut batch, &record, &mut scratch)?;
+        let chunks = (start..end)
+            .step_by(CHUNK)
+            .map(move |id| id..id.saturating_add(CHUNK as u32).min(end));
+        let mut record = UserRecord::new(role, start, String::new());
+        let mut encode = move |ids| self.encode_chunk(&mut record, prefix, ids);
+        let store = self.table.store();
+        let _rmw = store.rmw_guard();
+        if threads <= 1 {
+            for ids in chunks {
+                store.commit(encode(ids)?)?;
             }
-            if !batch.is_empty() {
-                self.table.store().commit(batch)?;
-            }
-            id = chunk_end;
+            return Ok(());
         }
-        Ok(())
+        std::thread::scope(|scope| {
+            let (tx, rx) = std::sync::mpsc::sync_channel::<Result<WriteBatch>>(2);
+            let encoder = std::thread::Builder::new()
+                .name("seed-encoder".into())
+                .spawn_scoped(scope, move || {
+                    for ids in chunks {
+                        let batch = encode(ids);
+                        let failed = batch.is_err();
+                        // A closed channel means the committer stopped.
+                        if tx.send(batch).is_err() || failed {
+                            break;
+                        }
+                    }
+                })
+                .map_err(itag_store::StoreError::from)?;
+            let mut outcome = Ok(());
+            for batch in &rx {
+                if let Err(e) = batch.and_then(|b| Ok(store.commit(b)?)) {
+                    outcome = Err(e);
+                    break;
+                }
+            }
+            // Closing the channel fails the encoder's next send, so it
+            // stops even when it is blocked on a full channel.
+            drop(rx);
+            if let Err(panic) = encoder.join() {
+                std::panic::resume_unwind(panic);
+            }
+            outcome
+        })
+    }
+
+    /// One chunk of [`UserManager::register_bulk`]: the records of `ids`
+    /// not already stored, encoded into one batch.
+    fn encode_chunk(
+        &self,
+        record: &mut UserRecord,
+        prefix: &str,
+        ids: std::ops::Range<u32>,
+    ) -> Result<WriteBatch> {
+        use std::fmt::Write as _;
+        let tag = record.role.tag();
+        let mut existing = self
+            .table
+            .keys_in_range(&(tag, ids.start), Some(&(tag, ids.end)))?
+            .into_iter()
+            .map(|(_, i)| i)
+            .peekable();
+        let mut batch = WriteBatch::with_capacity(ids.len());
+        for i in ids {
+            if existing.next_if_eq(&i).is_some() {
+                continue;
+            }
+            record.id = i;
+            record.name.clear();
+            // Formatting into a `String` cannot fail.
+            let _ = write!(record.name, "{prefix}{i}");
+            self.table.stage_upsert(&mut batch, record)?;
+        }
+        Ok(batch)
     }
 
     /// Fetches a user (staged overlay first, then storage).
@@ -619,7 +669,7 @@ mod tests {
         m.table.store().commit(batch).unwrap();
         m.clear_staged();
 
-        m.register_bulk(UserRole::Tagger, 10_000, 5_000, "seed-")
+        m.register_bulk(UserRole::Tagger, 10_000, 5_000, "seed-", 1)
             .unwrap();
         assert_eq!(m.taggers().unwrap().len(), 5_000);
         let survivor = m.get(UserRole::Tagger, 10_002).unwrap().unwrap();
@@ -633,9 +683,16 @@ mod tests {
     }
 
     /// Ids that exist on either side of a chunk boundary (4096) are
-    /// skipped, never overwritten, and every other id is seeded.
+    /// skipped, never overwritten, and every other id is seeded, inline
+    /// and pipelined alike.
     #[test]
     fn register_bulk_skips_existing_ids_at_chunk_boundaries() {
+        for threads in [1, 2] {
+            register_bulk_skips_existing_ids_at(threads);
+        }
+    }
+
+    fn register_bulk_skips_existing_ids_at(threads: usize) {
         let m = mgr();
         for id in [4095, 4096, 4097] {
             m.register(UserRole::Tagger, id, &format!("old-{id}"))
@@ -649,7 +706,7 @@ mod tests {
             .map(|id| m.get(UserRole::Tagger, id).unwrap().unwrap())
             .to_vec();
 
-        m.register_bulk(UserRole::Tagger, 0, 3 * 4096, "seed-")
+        m.register_bulk(UserRole::Tagger, 0, 3 * 4096, "seed-", threads)
             .unwrap();
         assert_eq!(m.taggers().unwrap().len(), 3 * 4096);
         for (id, old) in [4095, 4096, 4097].into_iter().zip(&before) {
@@ -664,7 +721,7 @@ mod tests {
         }
         // A second seed over the same range changes nothing.
         let digest = m.table.store().content_checksum();
-        m.register_bulk(UserRole::Tagger, 0, 3 * 4096, "again-")
+        m.register_bulk(UserRole::Tagger, 0, 3 * 4096, "again-", threads)
             .unwrap();
         assert_eq!(m.table.store().content_checksum(), digest);
     }
@@ -673,9 +730,15 @@ mod tests {
     /// stops below `u32::MAX` and keeps the existing id inside it.
     #[test]
     fn register_bulk_range_ending_at_u32_max() {
+        for threads in [1, 2] {
+            register_bulk_range_ending_at_u32_max_on(threads);
+        }
+    }
+
+    fn register_bulk_range_ending_at_u32_max_on(threads: usize) {
         let m = mgr();
         m.register(UserRole::Tagger, u32::MAX - 2, "old").unwrap();
-        m.register_bulk(UserRole::Tagger, u32::MAX - 5000, 5000, "seed-")
+        m.register_bulk(UserRole::Tagger, u32::MAX - 5000, 5000, "seed-", threads)
             .unwrap();
         assert_eq!(m.taggers().unwrap().len(), 5000);
         assert_eq!(
@@ -687,7 +750,7 @@ mod tests {
             format!("seed-{}", u32::MAX - 1)
         );
         assert!(m.get(UserRole::Tagger, u32::MAX).unwrap().is_none());
-        m.register_bulk(UserRole::Tagger, u32::MAX - 10, 100, "more-")
+        m.register_bulk(UserRole::Tagger, u32::MAX - 10, 100, "more-", threads)
             .unwrap();
         assert_eq!(m.taggers().unwrap().len(), 5000);
         assert!(m.get(UserRole::Tagger, u32::MAX).unwrap().is_none());

@@ -19,6 +19,19 @@
 //! monitors copy nothing; memtable keys are [`Bytes`] too, so scans hand
 //! keys back without re-copying them.
 //!
+//! ## WAL frames and applies
+//!
+//! A [`WriteBatch`] is already its WAL encoding: one body holding every
+//! op as serbin encodes it, plus per-op headers (see the [`crate::txn`]
+//! module docs). The group leader writes each frame as
+//! `varint(lsn) ++ varint(op count) ++ body`, checksummed over those
+//! pieces ([`wal::Wal::append_parts`]), so committing copies the body
+//! once, into the WAL's buffer, and the frame is byte-identical to
+//! `serbin(WalEntry { lsn, ops })`. Applying a put allocates the pair's
+//! one stored buffer and copies key and value into it from the body; the
+//! body is freed whole afterwards. Recovery decodes each frame into the
+//! same headers over the frame's bytes and applies it the same way.
+//!
 //! ## Durability contract ([`Durability`] × [`SyncPolicy`])
 //!
 //! * [`Durability::InMemory`] — no files; nothing survives the process.
@@ -79,7 +92,9 @@
 //! so a match is proof nothing was overwritten). Committed puts staged via
 //! [`crate::txn::WriteBatch::put_cached`] write through into the cache
 //! under the same shard write lock that applies them; plain puts and
-//! deletes invalidate. The cache therefore never changes results, only
+//! deletes invalidate, including a plain write later in the same batch
+//! as the write-through that first made its table cache-bearing. The
+//! cache therefore never changes results, only
 //! skips decodes — `StoreOptions::entity_cache = false` turns it off
 //! wholesale, and that cache-off decode is the reference the store's
 //! differential test (`tests/cache_equiv.rs`) holds the cache to.
@@ -87,8 +102,8 @@
 use crate::codec::FxHasher;
 use crate::cow::{self, CowMap};
 use crate::error::{Result, StoreError};
-use crate::txn::{CachedEntity, Op, WalEntry, WriteBatch};
-use crate::{serbin, snapshot, wal, TableId};
+use crate::txn::{decode_frame, CachedEntity, OpHead, WriteBatch};
+use crate::{snapshot, wal, TableId};
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -243,14 +258,12 @@ struct CacheSlot {
 }
 type CacheShard = crate::codec::FxHashMap<TableId, crate::codec::FxHashMap<Bytes, CacheSlot>>;
 
-/// A batch waiting in the group-commit queue.
+/// A batch waiting in the group-commit queue. Its body is the WAL frame's
+/// payload after the `varint(lsn) ++ varint(op count)` prefix (see the
+/// `txn` module docs); the leader takes it when it applies the group.
 struct Pending {
     lsn: u64,
-    ops: Vec<Op>,
-    /// Decoded write-through hints, `(op index, entity)` ascending.
-    hints: Vec<(u32, CachedEntity)>,
-    /// Pre-serialized WAL frame (durable stores only).
-    payload: Option<Vec<u8>>,
+    batch: WriteBatch,
 }
 
 /// Shared commit ordering state, guarded by `Store::commit_mu`.
@@ -407,14 +420,10 @@ fn avalanche(mut h: u64) -> u64 {
 
 /// One stored pair as two views of a single buffer (`key ++ value`): one
 /// allocation per pair, freed once the pair, every snapshot sharing it
-/// and its entity-cache slot let go. The two halves are joined in
-/// `scratch`, a buffer the caller reuses across pairs, so the shared
-/// buffer is filled by one bulk copy.
-fn pair(scratch: &mut Vec<u8>, key: &[u8], value: &[u8]) -> (Bytes, Bytes) {
-    scratch.clear();
-    scratch.extend_from_slice(key);
-    scratch.extend_from_slice(value);
-    let mut key_view = Bytes::copy_from_slice(scratch);
+/// and its entity-cache slot let go. Key and value are copied into it
+/// straight from the batch body or WAL frame they were read from.
+fn pair(key: &[u8], value: &[u8]) -> (Bytes, Bytes) {
+    let mut key_view = Bytes::concat(key, value);
     let value_view = key_view.split_off(key.len());
     (key_view, value_view)
 }
@@ -425,33 +434,14 @@ fn empty_parts(shards: usize) -> Vec<Memtable> {
 }
 
 /// Inserts one pair into its shard's map (recovery, before the shards
-/// are locked; `scratch` as for [`pair`]). Pairs arriving in key order
-/// per table take the map's append path.
-fn put_routed(
-    parts: &mut [Memtable],
-    scratch: &mut Vec<u8>,
-    table: TableId,
-    key: &[u8],
-    value: &[u8],
-) {
+/// are locked). Pairs arriving in key order per table take the map's
+/// append path.
+fn put_routed(parts: &mut [Memtable], table: TableId, key: &[u8], value: &[u8]) {
     let s = route(parts.len(), table, key);
     if let Some(part) = parts.get_mut(s) {
-        let (key, value) = pair(scratch, key, value);
+        let (key, value) = pair(key, value);
         part.entry(table).or_default().insert(key, value);
     }
-}
-
-/// Builds a WAL frame payload from a pre-serialized op list. `WalEntry`
-/// is `{ lsn, ops }` and serbin encodes structs as plain field
-/// concatenation (see the `serbin` module docs), so `varint(lsn) ++
-/// serbin(ops)` is byte-identical to `serbin(WalEntry { lsn, ops })` —
-/// which lets committers serialize their ops *outside* the commit mutex
-/// and splice the LSN in under it.
-fn frame_payload(lsn: u64, ops_bytes: &[u8]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(10 + ops_bytes.len());
-    crate::codec::write_uvarint(&mut payload, lsn);
-    payload.extend_from_slice(ops_bytes);
-    payload
 }
 
 /// What the group leader reports back: the WAL-append + memtable-apply
@@ -620,24 +610,22 @@ impl Store {
         // of the snapshot file's bytes; a checkpoint lists each table in
         // key order, so every shard map is loaded by appends.
         let mut parts = empty_parts(opts.shards);
-        let mut scratch = Vec::new();
         let mut table = TableId(0);
         let snap = snapshot::read_with(&snapshot_path(dir), |item| match item {
             snapshot::Item::Table(t) => table = t,
-            snapshot::Item::Pair(k, v) => put_routed(&mut parts, &mut scratch, table, k, v),
+            snapshot::Item::Pair(k, v) => put_routed(&mut parts, table, k, v),
         })?;
         let mut last_lsn = snap.unwrap_or(0);
 
         let scan = wal::scan(&wal_path(dir))?;
         let mut recovered = 0u64;
         for frame in &scan.frames {
-            let entry: WalEntry = serbin::from_bytes(frame)
-                .map_err(|e| StoreError::Corrupt(format!("undecodable WAL entry: {e}")))?;
-            if entry.lsn <= last_lsn {
+            let (lsn, heads) = decode_frame(frame)?;
+            if lsn <= last_lsn {
                 continue; // already folded into the snapshot
             }
-            last_lsn = entry.lsn;
-            apply_ops(&mut parts, &mut scratch, entry.ops);
+            last_lsn = lsn;
+            apply_ops(&mut parts, frame, &heads);
             recovered += 1;
         }
 
@@ -804,15 +792,22 @@ impl Store {
     /// [`Store::lock_table_shards`]. `routes[i]` is op `i`'s shard,
     /// precomputed by the caller (each key is hashed exactly once per
     /// apply).
-    fn note_presence(&self, ops: &[Op], routes: &[usize]) {
+    fn note_presence(&self, heads: &[OpHead], routes: &[usize]) {
         let n = self.shards.len();
         if n == 1 || n > 128 {
             return;
         }
-        let mut needed: crate::codec::FxHashMap<TableId, u128> = Default::default();
-        for (op, &s) in ops.iter().zip(routes) {
-            if let Op::Put { table, .. } = op {
-                *needed.entry(*table).or_insert(0) |= 1u128 << s;
+        // A batch names few tables, mostly in runs: a short list, checked
+        // at its last entry first, beats hashing every op.
+        let mut needed: Vec<(TableId, u128)> = Vec::new();
+        for (head, &s) in heads.iter().zip(routes) {
+            if head.value.is_none() {
+                continue;
+            }
+            let bit = 1u128 << s;
+            match needed.iter_mut().rev().find(|(t, _)| *t == head.table) {
+                Some((_, bits)) => *bits |= bit,
+                None => needed.push((head.table, bit)),
             }
         }
         {
@@ -841,24 +836,15 @@ impl Store {
         // A stored pair is two views of one buffer, each addressed by
         // `u32` offsets (see `bytes::Bytes`); refuse what cannot be held
         // before anything is logged.
-        if let Some(len) = batch.ops.iter().find_map(|op| match op {
-            Op::Put { key, value, .. } => {
-                Some(key.len() + value.len()).filter(|&len| u32::try_from(len).is_err())
-            }
-            Op::Delete { .. } => None,
+        if let Some(len) = batch.heads.iter().find_map(|h| {
+            let value = h.value.as_ref()?;
+            Some(h.key.len() + value.len()).filter(|&len| u32::try_from(len).is_err())
         }) {
             return Err(StoreError::Codec(format!(
                 "a {len}-byte key and value exceed the {}-byte pair limit",
                 u32::MAX
             )));
         }
-        // Serialize the ops before taking the commit mutex — only the
-        // tiny LSN prefix is built under the lock (see `frame_payload`).
-        let ops_bytes = if self.opts.durability != Durability::InMemory {
-            Some(serbin::to_bytes(&batch.ops)?)
-        } else {
-            None
-        };
 
         let mut state = self.commit_mu.lock();
         // Hold off while a manual checkpoint is quiescing so its wait is
@@ -871,12 +857,7 @@ impl Store {
         }
         let lsn = state.next_lsn;
         state.next_lsn += 1;
-        state.queue.push_back(Pending {
-            lsn,
-            ops: batch.ops,
-            hints: batch.hints,
-            payload: ops_bytes.map(|b| frame_payload(lsn, &b)),
-        });
+        state.queue.push_back(Pending { lsn, batch });
 
         loop {
             // `applied_lsn` is checked before `broken`: a batch that made
@@ -967,7 +948,7 @@ impl Store {
 
     /// Group-leader work: append + flush/fsync all frames per the sync
     /// policy, apply in LSN order, bump counters, maybe auto-checkpoint.
-    /// Consumes each pending batch's ops (see [`Store::apply_batch`]).
+    /// Consumes each pending batch (see [`Store::apply_batch`]).
     // lint: allow(panic-path)
     fn lead_group(&self, group: &mut [Pending]) -> LeadOutcome {
         let mut log = self.log_mu.lock();
@@ -979,18 +960,15 @@ impl Store {
                 ..
             } = &mut *log;
             if let Some(w) = wal.as_mut() {
+                // Each frame is `varint(lsn) ++ varint(op count) ++ body`,
+                // checksummed and written in those pieces: the body is
+                // never copied into a joined payload.
+                let mut prefix = Vec::with_capacity(20);
                 for p in group.iter() {
-                    // Durable commits serialize their payload on enqueue;
-                    // a missing one means the queue protocol broke, and a
-                    // typed error (which poisons the store via the
-                    // `broken` path) beats unwinding mid-group.
-                    let payload = p.payload.as_ref().ok_or_else(|| {
-                        StoreError::Corrupt(format!(
-                            "commit lsn {} queued without a serialized WAL payload",
-                            p.lsn
-                        ))
-                    })?;
-                    w.append(payload)?;
+                    prefix.clear();
+                    crate::codec::write_uvarint(&mut prefix, p.lsn);
+                    crate::codec::write_uvarint(&mut prefix, p.batch.len() as u64);
+                    w.append_parts(&[&prefix, &p.batch.body])?;
                 }
                 *unsynced_commits += group.len() as u64;
                 let fsync = |w: &mut wal::Wal,
@@ -1056,10 +1034,9 @@ impl Store {
         }
         let mut ops_total = 0u64;
         for p in group.iter_mut() {
-            let ops = std::mem::take(&mut p.ops);
-            let hints = std::mem::take(&mut p.hints);
-            ops_total += ops.len() as u64;
-            self.apply_batch(p.lsn, ops, hints);
+            let batch = std::mem::take(&mut p.batch);
+            ops_total += batch.len() as u64;
+            self.apply_batch(p.lsn, batch);
         }
         self.counters
             .commits
@@ -1086,23 +1063,26 @@ impl Store {
     /// Applies one batch while holding the write locks of every shard it
     /// touches, so concurrent readers see all of the batch or none of it.
     /// Each put is stored as one buffer holding its key and value (see
-    /// [`pair`]): one allocation, the op's own vectors freed.
+    /// [`pair`]), copied out of the batch body: one allocation per pair,
+    /// and nothing freed per op (the body goes in one free).
     /// Write-through hints install decoded entities into the cache under
-    /// the same locks; unhinted puts and deletes invalidate. The batch's
-    /// LSN is published as the store epoch before the write locks drop,
-    /// so an all-shards reader sees epoch and contents move together.
+    /// the same locks; unhinted puts and deletes invalidate. A hinted put
+    /// makes its table cache-bearing for the rest of the batch too, so a
+    /// later unhinted write of the same key drops the slot it installed.
+    /// The batch's LSN is published as the store epoch before the write
+    /// locks drop, so an all-shards reader sees epoch and contents move
+    /// together.
     // lint: allow(panic-path)
-    fn apply_batch(&self, lsn: u64, ops: Vec<Op>, hints: Vec<(u32, CachedEntity)>) {
+    fn apply_batch(&self, lsn: u64, batch: WriteBatch) {
         let n = self.shards.len();
+        let WriteBatch { body, heads, hints } = batch;
         // Hash every key exactly once; the presence update, the lock set
         // and the apply loop all reuse these routes.
-        let routes: Vec<usize> = ops
+        let routes: Vec<usize> = heads
             .iter()
-            .map(|op| match op {
-                Op::Put { table, key, .. } | Op::Delete { table, key } => route(n, *table, key),
-            })
+            .map(|h| route(n, h.table, body.get(h.key.clone()).unwrap_or_default()))
             .collect();
-        self.note_presence(&ops, &routes);
+        self.note_presence(&heads, &routes);
         let mut guards: Vec<Option<RwLockWriteGuard<'_, Memtable>>> =
             (0..n).map(|_| None).collect();
         if n <= 128 {
@@ -1126,49 +1106,49 @@ impl Store {
         // One lookup per batch decides which tables need cache
         // maintenance at all; write-only tables (post logs, index rows)
         // then skip the cache-shard locks entirely.
-        let cache_tables: Vec<TableId> = if self.cache_enabled {
+        let mut cache_tables: Vec<TableId> = if self.cache_enabled {
             self.cached_tables.read().iter().copied().collect()
         } else {
             Vec::new()
         };
         let mut hints = hints.into_iter().peekable();
         let mut copied = 0;
-        let mut scratch = Vec::new();
-        for (idx, (op, &s)) in ops.into_iter().zip(routes.iter()).enumerate() {
+        for (idx, (head, &s)) in heads.iter().zip(routes.iter()).enumerate() {
             let hint = match hints.peek() {
                 Some((h, _)) if *h as usize == idx => hints.next().map(|(_, d)| d),
                 _ => None,
             };
-            match op {
-                Op::Put { table, key, value } => {
-                    let (key, value) = pair(&mut scratch, &key, &value);
-                    if self.cache_enabled && (hint.is_some() || cache_tables.contains(&table)) {
-                        self.cache_apply(s, table, &key, &value, hint);
+            // Ranges come from staging or from `decode_frame`, both of
+            // which bound them by the body.
+            let Some((key, value)) = head.parts(&body) else {
+                continue;
+            };
+            let table = head.table;
+            // The guard set is computed from the same `routes` this loop
+            // indexes with, so the slot is always populated; an error
+            // path here has no caller to surface to (the batch is already
+            // in the WAL).
+            // lint: allow(store-unwrap)
+            let shard = guards[s].as_mut().expect("touched shard is locked");
+            match value {
+                Some(value) => {
+                    let (key, value) = pair(key, value);
+                    if self.cache_enabled {
+                        if hint.is_some() && !cache_tables.contains(&table) {
+                            cache_tables.push(table);
+                        }
+                        if cache_tables.contains(&table) {
+                            self.cache_apply(s, table, &key, &value, hint);
+                        }
                     }
-                    // The guard set is computed from the same `routes`
-                    // this loop indexes with, so the slot is always
-                    // populated; an error path here has no caller to
-                    // surface to (the batch is already in the WAL).
-                    // lint: allow(store-unwrap)
-                    copied += guards[s]
-                        .as_mut()
-                        .expect("touched shard is locked")
-                        .entry(table)
-                        .or_default()
-                        .insert(key, value);
+                    copied += shard.entry(table).or_default().insert(key, value);
                 }
-                Op::Delete { table, key } => {
+                None => {
                     if self.cache_enabled && cache_tables.contains(&table) {
-                        self.cache_remove(s, table, &key);
+                        self.cache_remove(s, table, key);
                     }
-                    // Same invariant as the put arm above.
-                    // lint: allow(store-unwrap)
-                    if let Some(t) = guards[s]
-                        .as_mut()
-                        .expect("touched shard is locked")
-                        .get_mut(&table)
-                    {
-                        copied += t.remove(key.as_slice());
+                    if let Some(t) = shard.get_mut(&table) {
+                        copied += t.remove(key);
                     }
                 }
             }
@@ -1274,6 +1254,16 @@ impl Store {
             None => self.counters.cache_misses.fetch_add(1, Ordering::Relaxed),
         };
         hit
+    }
+
+    /// True when the entity cache holds a slot for `(table, key)`, current
+    /// or not. A slot that outlives an overwrite of its key pins the old
+    /// buffer until the key is next read; tests use this to see that none
+    /// does.
+    pub fn cache_holds(&self, table: TableId, key: &[u8]) -> bool {
+        self.cache
+            .get(self.shard_of(table, key))
+            .is_some_and(|c| c.read().get(&table).is_some_and(|m| m.contains_key(key)))
     }
 
     /// Installs a read-through decode for `(table, key)`. `bytes` must be
@@ -1589,19 +1579,21 @@ impl Store {
     }
 }
 
-/// Recovery-time apply onto the shard memtables before the store is
+/// Recovery-time apply of one decoded WAL frame (`heads` over `frame`,
+/// see [`decode_frame`]) onto the shard memtables before the store is
 /// assembled (no cache, no presence — [`Store::assemble`] derives the
 /// presence masks from the final contents).
-fn apply_ops(parts: &mut [Memtable], scratch: &mut Vec<u8>, ops: Vec<Op>) {
-    for op in ops {
-        match op {
-            Op::Put { table, key, value } => put_routed(parts, scratch, table, &key, &value),
-            Op::Delete { table, key } => {
-                let s = route(parts.len(), table, &key);
-                if let Some(t) = parts.get_mut(s).and_then(|p| p.get_mut(&table)) {
-                    t.remove(key.as_slice());
+fn apply_ops(parts: &mut [Memtable], frame: &[u8], heads: &[OpHead]) {
+    for head in heads {
+        match head.parts(frame) {
+            Some((key, Some(value))) => put_routed(parts, head.table, key, value),
+            Some((key, None)) => {
+                let s = route(parts.len(), head.table, key);
+                if let Some(t) = parts.get_mut(s).and_then(|p| p.get_mut(&head.table)) {
+                    t.remove(key);
                 }
             }
+            None => {}
         }
     }
 }
@@ -1822,32 +1814,53 @@ mod tests {
 
     #[test]
     fn frame_payload_matches_serbin_wal_entry() {
-        // commit() splices `varint(lsn) ++ serbin(ops)` together outside
-        // the lock; recovery decodes a full `WalEntry`. The two layouts
-        // must stay byte-identical.
-        for lsn in [0u64, 1, 127, 128, u32::MAX as u64 + 7] {
-            let ops = vec![
+        // commit() writes `varint(lsn) ++ varint(op count) ++ body` in
+        // pieces; recovery reads a full `WalEntry`. The frame must stay
+        // byte-identical to serbin's encoding of that entry, across the
+        // one-to-two-byte varint step of the LSN (127 → 128) and of the
+        // value length.
+        use crate::txn::{Op, WalEntry};
+        let dir = TestDir::new("db-frame-payload");
+        let ops = |i: u64| {
+            vec![
                 Op::Put {
                     table: T1,
-                    key: vec![1, 2],
-                    value: vec![3; 20],
+                    key: i.to_be_bytes().to_vec(),
+                    value: vec![3; (i % 3 * 100) as usize],
                 },
                 Op::Delete {
                     table: T2,
                     key: vec![9],
                 },
-            ];
-            let spliced = frame_payload(lsn, &serbin::to_bytes(&ops).unwrap());
-            let direct = serbin::to_bytes(&WalEntry {
-                lsn,
-                ops: ops.clone(),
-            })
-            .unwrap();
-            assert_eq!(spliced, direct, "lsn={lsn}");
-            let back: WalEntry = serbin::from_bytes(&spliced).unwrap();
-            assert_eq!(back.lsn, lsn);
-            assert_eq!(back.ops, ops);
+            ]
+        };
+        {
+            let s = Store::open(dir.path(), StoreOptions::default()).unwrap();
+            for i in 1..=130u64 {
+                let mut b = WriteBatch::new();
+                for op in ops(i) {
+                    match op {
+                        Op::Put { table, key, value } => b.put(table, key, value),
+                        Op::Delete { table, key } => b.delete(table, key),
+                    };
+                }
+                s.commit(b).unwrap();
+            }
         }
+        let scan = wal::scan(&wal_path(dir.path())).unwrap();
+        assert_eq!(scan.frames.len(), 130);
+        for (lsn, frame) in (1u64..).zip(&scan.frames) {
+            let entry = WalEntry { lsn, ops: ops(lsn) };
+            assert_eq!(
+                frame,
+                &crate::serbin::to_bytes(&entry).unwrap(),
+                "lsn={lsn}"
+            );
+            let back: WalEntry = crate::serbin::from_bytes(frame).unwrap();
+            assert_eq!(back, entry);
+        }
+        let s = Store::open(dir.path(), StoreOptions::default()).unwrap();
+        assert_eq!((s.count(T1), s.stats().recovered_entries), (130, 130));
     }
 
     #[test]

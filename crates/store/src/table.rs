@@ -171,36 +171,17 @@ impl<E: Entity> TypedTable<E> {
                 E::NAME
             )));
         }
-        self.store.put(E::TABLE, key, serbin::to_bytes(entity)?)
+        self.upsert(entity)
     }
 
-    /// Stages an upsert into an existing batch (for multi-table atomicity).
+    /// Stages an upsert into an existing batch (for multi-table
+    /// atomicity). Key and record are encoded straight into the batch.
     pub fn stage_upsert(&self, batch: &mut WriteBatch, entity: &E) -> Result<()> {
-        batch.put(
+        batch.put_with(
             E::TABLE,
-            entity.primary_key().encoded(),
-            serbin::to_bytes(entity)?,
-        );
-        Ok(())
-    }
-
-    /// [`TypedTable::stage_upsert`] for bulk loads: encodes key and
-    /// value into `scratch` (cleared first, reused across calls), so the
-    /// batch gets two exact-size copies and the encoder never regrows a
-    /// fresh buffer.
-    pub fn stage_upsert_with(
-        &self,
-        batch: &mut WriteBatch,
-        entity: &E,
-        scratch: &mut Vec<u8>,
-    ) -> Result<()> {
-        scratch.clear();
-        entity.primary_key().encode_into(scratch);
-        let key_len = scratch.len();
-        serbin::to_writer(scratch, entity)?;
-        let (key, value) = scratch.split_at(key_len);
-        batch.put(E::TABLE, key.to_vec(), value.to_vec());
-        Ok(())
+            |k| entity.primary_key().encode_into(k),
+            |v| Ok(serbin::to_writer(v, entity)?),
+        )
     }
 
     /// Like [`TypedTable::stage_upsert`], but also hands the store a clone
@@ -212,13 +193,12 @@ impl<E: Entity> TypedTable<E> {
         if !self.store.entity_cache_enabled() {
             return self.stage_upsert(batch, entity);
         }
-        batch.put_cached(
+        batch.put_cached_with(
             E::TABLE,
-            entity.primary_key().encoded(),
-            serbin::to_bytes(entity)?,
+            |k| entity.primary_key().encode_into(k),
+            |v| Ok(serbin::to_writer(v, entity)?),
             Arc::new(entity.clone()),
-        );
-        Ok(())
+        )
     }
 
     /// [`TypedTable::stage_upsert_cached`] taking ownership: the entity
@@ -228,18 +208,18 @@ impl<E: Entity> TypedTable<E> {
         if !self.store.entity_cache_enabled() {
             return self.stage_upsert(batch, &entity);
         }
-        batch.put_cached(
+        let entity = Arc::new(entity);
+        batch.put_cached_with(
             E::TABLE,
-            entity.primary_key().encoded(),
-            serbin::to_bytes(&entity)?,
-            Arc::new(entity),
-        );
-        Ok(())
+            |k| entity.primary_key().encode_into(k),
+            |v| Ok(serbin::to_writer(v, &*entity)?),
+            entity.clone(),
+        )
     }
 
     /// Stages a delete into an existing batch.
     pub fn stage_delete(&self, batch: &mut WriteBatch, key: &E::Key) {
-        batch.delete(E::TABLE, key.encoded());
+        batch.delete_with(E::TABLE, |k| key.encode_into(k));
     }
 
     /// Point lookup through the entity cache: a hit costs one clone of the
@@ -422,13 +402,24 @@ impl<E: Entity, K: KeyCodec + FixedWidthKey> IndexDef<E, K> {
     /// primary key. Pass `old = None` for inserts, `new = None` for deletes.
     pub fn stage_update(&self, batch: &mut WriteBatch, old: Option<&E>, new: Option<&E>) {
         if let Some(o) = old {
-            let pk = o.primary_key().encoded();
-            batch.delete(self.table, Self::row_key(&(self.extract)(o), &pk));
+            batch.delete_with(self.table, |row| {
+                (self.extract)(o).encode_into(row);
+                o.primary_key().encode_into(row);
+            });
         }
         if let Some(n) = new {
-            let pk = n.primary_key().encoded();
-            let row = Self::row_key(&(self.extract)(n), &pk);
-            batch.put(self.table, row, pk);
+            // Appending encoded keys cannot fail.
+            let _ = batch.put_with(
+                self.table,
+                |row| {
+                    (self.extract)(n).encode_into(row);
+                    n.primary_key().encode_into(row);
+                },
+                |pk| {
+                    n.primary_key().encode_into(pk);
+                    Ok(())
+                },
+            );
         }
     }
 
@@ -438,26 +429,29 @@ impl<E: Entity, K: KeyCodec + FixedWidthKey> IndexDef<E, K> {
     /// paths stage records from borrowed parts). Byte-compatible with
     /// `stage_update(None, Some(e))` by construction.
     pub fn stage_insert(&self, batch: &mut WriteBatch, key: &K, primary_key_encoded: &[u8]) {
-        batch.put(
+        // Appending bytes cannot fail.
+        let _ = batch.put_with(
             self.table,
-            Self::row_key(key, primary_key_encoded),
-            primary_key_encoded.to_vec(),
+            |row| Self::row_key(row, key, primary_key_encoded),
+            |pk| {
+                pk.extend_from_slice(primary_key_encoded);
+                Ok(())
+            },
         );
     }
 
     /// The delete half of [`IndexDef::stage_update`] from the indexed value
     /// and encoded primary key alone.
     pub fn stage_remove(&self, batch: &mut WriteBatch, key: &K, primary_key_encoded: &[u8]) {
-        batch.delete(self.table, Self::row_key(key, primary_key_encoded));
+        batch.delete_with(self.table, |row| {
+            Self::row_key(row, key, primary_key_encoded)
+        });
     }
 
-    /// `secondary ‖ primary` row key, allocated at exact size (the
-    /// secondary width is statically known).
-    fn row_key(key: &K, primary_key_encoded: &[u8]) -> Vec<u8> {
-        let mut row = Vec::with_capacity(K::WIDTH + primary_key_encoded.len());
-        key.encode_into(&mut row);
+    /// Appends the `secondary ‖ primary` row key to `row`.
+    fn row_key(row: &mut Vec<u8>, key: &K, primary_key_encoded: &[u8]) {
+        key.encode_into(row);
         row.extend_from_slice(primary_key_encoded);
-        row
     }
 
     /// Primary keys of entities whose indexed value equals `key`.

@@ -7,7 +7,7 @@
 //! assumption for an append-only log) and the file is truncated there on the
 //! next append.
 
-use crate::codec::{crc32, read_le_u32};
+use crate::codec::{crc32, read_le_u32, Crc32};
 use crate::error::{Result, StoreError};
 use crate::faults::{self, FaultFile};
 use std::fs::{File, OpenOptions};
@@ -76,13 +76,27 @@ impl Wal {
     /// Appends one frame. The frame is buffered; call [`Wal::sync`] to make
     /// it durable (the store decides based on its durability level).
     pub fn append(&mut self, payload: &[u8]) -> Result<()> {
+        self.append_parts(&[payload])
+    }
+
+    /// Appends one frame whose payload is `parts` joined, without joining
+    /// them: the length and checksum are taken over the parts in order,
+    /// so the frame is byte-identical to `append(&parts.concat())`.
+    pub fn append_parts(&mut self, parts: &[&[u8]]) -> Result<()> {
         faults::check_io(faults::WAL_APPEND)?;
-        let len = u32::try_from(payload.len())
+        let total: usize = parts.iter().map(|p| p.len()).sum();
+        let len = u32::try_from(total)
             .map_err(|_| StoreError::Codec("WAL frame larger than 4 GiB".into()))?;
+        let mut crc = Crc32::new();
+        for part in parts {
+            crc.update(part);
+        }
         self.writer.write_all(&len.to_le_bytes())?;
-        self.writer.write_all(&crc32(payload).to_le_bytes())?;
-        self.writer.write_all(payload)?;
-        self.len += (FRAME_HEADER + payload.len()) as u64;
+        self.writer.write_all(&crc.finish().to_le_bytes())?;
+        for part in parts {
+            self.writer.write_all(part)?;
+        }
+        self.len += (FRAME_HEADER + total) as u64;
         self.appended_frames += 1;
         Ok(())
     }
@@ -235,6 +249,24 @@ mod tests {
         for (i, frame) in scan.frames.iter().enumerate() {
             assert_eq!(frame.as_slice(), (i as u32).to_le_bytes());
         }
+    }
+
+    #[test]
+    fn a_frame_appended_in_parts_equals_the_joined_frame() {
+        let dir = TestDir::new("wal-parts");
+        let (joined, parted) = (dir.path().join("joined.wal"), dir.path().join("parted.wal"));
+        let parts: [&[u8]; 4] = [b"lsn", b"", b"ops", &[7; 9000]];
+        let mut wal = Wal::create(&joined).unwrap();
+        wal.append(&parts.concat()).unwrap();
+        wal.sync().unwrap();
+        let mut wal = Wal::create(&parted).unwrap();
+        wal.append_parts(&parts).unwrap();
+        wal.sync().unwrap();
+        assert_eq!(wal.len(), 8 + 8 + 9006);
+        assert_eq!(
+            std::fs::read(&joined).unwrap(),
+            std::fs::read(&parted).unwrap()
+        );
     }
 
     #[test]

@@ -7,13 +7,14 @@
 //! coherence bug.
 //!
 //! The op set covers every `TypedTable` call the engine makes — cached,
-//! owned, scratch-buffer and plain upserts, multi-op batches,
+//! owned and plain upserts, raw `WriteBatch::put`s, multi-op batches,
 //! read-modify-writes, deletes, `get`/`get_arc`, `for_each_range` and
 //! `keys_in_range` — plus typed reads through a `Store::read_snapshot`
 //! taken before later writes, checkpoints, and durable reopens (WAL
 //! replay over the last checkpoint).
 
-use itag_store::table::Entity;
+use itag_store::serbin;
+use itag_store::table::{Entity, KeyCodec};
 use itag_store::testutil::TestDir;
 use itag_store::{Store, StoreOptions, StoreSnapshot, TableId, TypedTable, WriteBatch};
 use proptest::prelude::*;
@@ -44,8 +45,8 @@ enum Stage {
     Cached,
     /// Write-through, entity moved in (`stage_upsert_owned`).
     Owned,
-    /// Plain encode through a reused scratch buffer (`stage_upsert_with`).
-    Scratch,
+    /// Plain encode handed over as owned vectors (`WriteBatch::put`).
+    Raw,
     /// Plain upsert (`stage_upsert`; the cache must invalidate).
     Plain,
     Delete,
@@ -104,7 +105,7 @@ fn stage_strategy() -> impl Strategy<Value = Stage> {
     prop_oneof![
         Just(Stage::Cached),
         Just(Stage::Owned),
-        Just(Stage::Scratch),
+        Just(Stage::Raw),
         Just(Stage::Plain),
         Just(Stage::Delete),
     ]
@@ -143,7 +144,6 @@ struct Harness {
     opts: StoreOptions,
     table: TypedTable<Item>,
     capture: Option<StoreSnapshot>,
-    scratch: Vec<u8>,
 }
 
 impl Harness {
@@ -155,7 +155,6 @@ impl Harness {
             opts,
             table,
             capture: None,
-            scratch: Vec::new(),
         }
     }
 
@@ -164,9 +163,10 @@ impl Harness {
         match stage {
             Stage::Cached => t.stage_upsert_cached(batch, &item(id, score)).unwrap(),
             Stage::Owned => t.stage_upsert_owned(batch, item(id, score)).unwrap(),
-            Stage::Scratch => t
-                .stage_upsert_with(batch, &item(id, score), &mut self.scratch)
-                .unwrap(),
+            Stage::Raw => {
+                let it = item(id, score);
+                batch.put(Item::TABLE, id.encoded(), serbin::to_bytes(&it).unwrap());
+            }
             Stage::Plain => t.stage_upsert(batch, &item(id, score)).unwrap(),
             Stage::Delete => t.stage_delete(batch, &id),
         }
@@ -305,19 +305,32 @@ proptest! {
 
 #[test]
 fn a_key_cached_and_overwritten_in_one_batch_reads_the_last_write() {
-    // The first write-through to a table registers it as cached while
-    // its batch applies, so a plain overwrite of the same key later in
-    // that batch leaves the slot viewing the earlier bytes; only the
-    // slot's identity check against the stored bytes keeps it unserved.
-    // The same holds again after a reopen, whose store starts cold.
+    // A write-through makes its table cache-bearing for the rest of its
+    // batch, so a plain overwrite of the same key later in that batch
+    // drops the slot the write-through installed: no slot is left viewing
+    // (and pinning) the overwritten bytes, and reads do not lean on the
+    // slot's identity check. The same holds again after a reopen, whose
+    // store starts cold.
     let batch = TypedOp::Batch(vec![(Stage::Cached, 1, 10), (Stage::Plain, 1, 20)]);
     let ops = [
         batch.clone(),
         TypedOp::Get { id: 1 },
         TypedOp::GetArc { id: 1 },
         TypedOp::Reopen,
-        batch,
+        batch.clone(),
         TypedOp::GetArc { id: 1 },
     ];
     check_equivalent(&ops);
+
+    for opts in cache_configs() {
+        let mut h = Harness::new(opts);
+        for _ in 0..2 {
+            h.apply(&batch);
+            assert!(
+                !h.table.store().cache_holds(Item::TABLE, &1u32.encoded()),
+                "a slot survived the overwrite in its own batch"
+            );
+            h.apply(&TypedOp::Reopen);
+        }
+    }
 }

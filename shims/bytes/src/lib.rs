@@ -48,6 +48,21 @@ impl Bytes {
         Bytes::from_arc(Arc::from(data))
     }
 
+    /// Copies `head ++ tail` into one fresh buffer: one allocation and
+    /// one copy of each part, with no staging buffer in between. Not in
+    /// the upstream crate; the store lays each key and its value out in
+    /// one buffer with it.
+    pub fn concat(head: &[u8], tail: &[u8]) -> Self {
+        let mut buf: Arc<[u8]> = std::iter::repeat_n(0, head.len() + tail.len()).collect();
+        // A fresh `Arc` has no other owner, so `get_mut` always succeeds.
+        if let Some(b) = Arc::get_mut(&mut buf) {
+            let (h, t) = b.split_at_mut(head.len());
+            h.copy_from_slice(head);
+            t.copy_from_slice(tail);
+        }
+        Bytes::from_arc(buf)
+    }
+
     fn from_arc(buf: Arc<[u8]>) -> Self {
         let len = view_len(buf.len());
         Bytes { buf, off: 0, len }
@@ -243,6 +258,15 @@ mod tests {
         assert_eq!(b.to_vec(), vec![b'a', b'b', b'c']);
         assert_eq!(b.len(), 3);
         assert_eq!(&b[1..], b"bc");
+    }
+
+    #[test]
+    fn concat_joins_both_parts_in_one_buffer() {
+        let mut key = Bytes::concat(b"key", b"value");
+        let value = key.split_off(3);
+        assert_eq!((&key[..], &value[..]), (&b"key"[..], &b"value"[..]));
+        assert!(Arc::ptr_eq(&key.buf, &value.buf));
+        assert!(Bytes::concat(b"", b"").is_empty());
     }
 
     #[test]

@@ -25,8 +25,8 @@ fn repo_invariant_lint_is_clean() {
             .join("\n")
     );
 
-    // The waiver list is part of the contract: exactly the two reviewed
-    // shard-guard expects in the store's apply path. A waiver appearing
+    // The waiver list is part of the contract: exactly the one reviewed
+    // shard-guard expect in the store's apply path. A waiver appearing
     // or disappearing should be a conscious change, so pin it here.
     let mut waivers: Vec<String> = report
         .waivers_used
@@ -36,10 +36,7 @@ fn repo_invariant_lint_is_clean() {
     waivers.sort();
     assert_eq!(
         waivers,
-        vec![
-            "crates/store/src/db.rs:store-unwrap".to_string(),
-            "crates/store/src/db.rs:store-unwrap".to_string(),
-        ],
+        vec!["crates/store/src/db.rs:store-unwrap".to_string()],
         "the reviewed waiver list changed — update this test deliberately"
     );
 }

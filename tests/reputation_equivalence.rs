@@ -100,10 +100,10 @@ fn run_rounds(registered: u32, threads: usize, depth: usize) -> RoundOutput {
     let ctx = format!("{registered} seeded, {threads} threads, depth {depth}");
     assert_snapshot_gate_matches_table(&e, registered, &format!("at open, {ctx}"));
     let mut summaries = Vec::new();
-    for round in 0..2 {
+    for (round, &project) in projects.iter().enumerate().take(2) {
         summaries.extend(e.run_all_with(75, threads, depth).unwrap());
         assert_snapshot_gate_matches_table(&e, registered, &format!("round {round}, {ctx}"));
-        summaries.push((projects[round], e.run(projects[round], 20).unwrap()));
+        summaries.push((project, e.run(project, 20).unwrap()));
         assert_snapshot_gate_matches_table(&e, registered, &format!("run {round}, {ctx}"));
     }
     let unreliable = assert_snapshot_gate_matches_table(&e, registered, &format!("end, {ctx}"));
